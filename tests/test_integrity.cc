@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -824,6 +825,42 @@ TEST(IntegrityStats, DigestIncludesCorruptionCounters) {
       << digest;
   EXPECT_NE(digest.find("scrub_repaired_from_wal=2"), std::string::npos);
   EXPECT_NE(digest.find("scrub_unrepairable=1"), std::string::npos);
+
+  // The whole digest, pinned: chaos failures print it and replay tests
+  // compare it, so its field names, order and separators are a format.
+  // Each counter holds its 1-based position, so a swapped, dropped or
+  // renamed field changes the string.
+  TableStats all;
+  uint64_t next = 0;
+  for (std::atomic<uint64_t>* c :
+       {&all.inserts_new, &all.inserts_updated, &all.insert_failures,
+        &all.finds, &all.find_hits, &all.erases, &all.erase_hits,
+        &all.evictions, &all.insert_reprobe_updates, &all.upsizes,
+        &all.downsizes, &all.rehashed_kvs, &all.residual_kvs,
+        &all.stash_inserts, &all.stash_drains, &all.parked_victims,
+        &all.handoff_hits, &all.handoff_full_fallbacks, &all.handoff_deletes,
+        &all.downsize_rollbacks, &all.degraded_batches, &all.resize_oom_skips,
+        &all.recovery_spills, &all.scrub_buckets_scanned,
+        &all.scrub_misplaced_found, &all.scrub_misplaced_repaired,
+        &all.scrub_stash_fixes, &all.scrub_duplicates_collapsed,
+        &all.scrub_passes, &all.scrub_corrupted_slots,
+        &all.scrub_repaired_from_wal, &all.scrub_unrepairable}) {
+    c->store(++next);
+  }
+  EXPECT_EQ(next * sizeof(uint64_t), sizeof(TableStats));
+  EXPECT_EQ(all.Capture().ToString(),
+            "inserts_new=1 inserts_updated=2 insert_failures=3 finds=4 "
+            "find_hits=5 erases=6 erase_hits=7 evictions=8 "
+            "insert_reprobe_updates=9 upsizes=10 downsizes=11 "
+            "rehashed_kvs=12 residual_kvs=13 stash_inserts=14 "
+            "stash_drains=15 parked_victims=16 handoff_hits=17 "
+            "handoff_full_fallbacks=18 handoff_deletes=19 "
+            "downsize_rollbacks=20 degraded_batches=21 resize_oom_skips=22 "
+            "recovery_spills=23 scrub_buckets_scanned=24 "
+            "scrub_misplaced_found=25 scrub_misplaced_repaired=26 "
+            "scrub_stash_fixes=27 scrub_duplicates_collapsed=28 "
+            "scrub_passes=29 scrub_corrupted_slots=30 "
+            "scrub_repaired_from_wal=31 scrub_unrepairable=32");
 }
 
 }  // namespace
