@@ -1,65 +1,11 @@
 #include "gpusim/sim_counters.h"
 
-#include <sstream>
-
 namespace dycuckoo {
 namespace gpusim {
 
 SimCounters& SimCounters::Get() {
   static SimCounters instance;
   return instance;
-}
-
-void SimCounters::Reset() {
-  atomic_cas.store(0, std::memory_order_relaxed);
-  atomic_cas_failed.store(0, std::memory_order_relaxed);
-  atomic_exch.store(0, std::memory_order_relaxed);
-  bucket_reads.store(0, std::memory_order_relaxed);
-  bucket_writes.store(0, std::memory_order_relaxed);
-  evictions.store(0, std::memory_order_relaxed);
-  lock_conflicts.store(0, std::memory_order_relaxed);
-  chain_nodes_visited.store(0, std::memory_order_relaxed);
-  racecheck_findings.store(0, std::memory_order_relaxed);
-}
-
-SimCounters::Snapshot SimCounters::Capture() const {
-  Snapshot s;
-  s.atomic_cas = atomic_cas.load(std::memory_order_relaxed);
-  s.atomic_cas_failed = atomic_cas_failed.load(std::memory_order_relaxed);
-  s.atomic_exch = atomic_exch.load(std::memory_order_relaxed);
-  s.bucket_reads = bucket_reads.load(std::memory_order_relaxed);
-  s.bucket_writes = bucket_writes.load(std::memory_order_relaxed);
-  s.evictions = evictions.load(std::memory_order_relaxed);
-  s.lock_conflicts = lock_conflicts.load(std::memory_order_relaxed);
-  s.chain_nodes_visited = chain_nodes_visited.load(std::memory_order_relaxed);
-  s.racecheck_findings = racecheck_findings.load(std::memory_order_relaxed);
-  return s;
-}
-
-SimCounters::Snapshot SimCounters::Snapshot::operator-(
-    const Snapshot& rhs) const {
-  Snapshot d;
-  d.atomic_cas = atomic_cas - rhs.atomic_cas;
-  d.atomic_cas_failed = atomic_cas_failed - rhs.atomic_cas_failed;
-  d.atomic_exch = atomic_exch - rhs.atomic_exch;
-  d.bucket_reads = bucket_reads - rhs.bucket_reads;
-  d.bucket_writes = bucket_writes - rhs.bucket_writes;
-  d.evictions = evictions - rhs.evictions;
-  d.lock_conflicts = lock_conflicts - rhs.lock_conflicts;
-  d.chain_nodes_visited = chain_nodes_visited - rhs.chain_nodes_visited;
-  d.racecheck_findings = racecheck_findings - rhs.racecheck_findings;
-  return d;
-}
-
-std::string SimCounters::Snapshot::ToString() const {
-  std::ostringstream os;
-  os << "cas=" << atomic_cas << " cas_failed=" << atomic_cas_failed
-     << " exch=" << atomic_exch << " bucket_reads=" << bucket_reads
-     << " bucket_writes=" << bucket_writes << " evictions=" << evictions
-     << " lock_conflicts=" << lock_conflicts
-     << " chain_nodes=" << chain_nodes_visited
-     << " racecheck_findings=" << racecheck_findings;
-  return os.str();
 }
 
 }  // namespace gpusim

@@ -8,45 +8,28 @@
 #ifndef DYCUCKOO_GPUSIM_SIM_COUNTERS_H_
 #define DYCUCKOO_GPUSIM_SIM_COUNTERS_H_
 
-#include <atomic>
-#include <cstdint>
-#include <string>
+#include "common/counters.h"
 
 namespace dycuckoo {
 namespace gpusim {
 
+#define DYCUCKOO_SIM_COUNTERS(X)                                   \
+  X(atomic_cas)                                                    \
+  X(atomic_cas_failed)                                             \
+  X(atomic_exch)                                                   \
+  X(bucket_reads)        /* one per bucket (cache line) read */    \
+  X(bucket_writes)       /* one per bucket write transaction */    \
+  X(evictions)           /* cuckoo displacement events */          \
+  X(lock_conflicts)      /* failed bucket-lock attempts */         \
+  X(chain_nodes_visited) /* slab-list traversal hops */            \
+  X(racecheck_findings)  /* distinct RaceCheck defects */
+
+/// Process-wide (Get()); Capture() before and after a measured region and
+/// subtract the snapshots.
 struct SimCounters {
-  std::atomic<uint64_t> atomic_cas{0};
-  std::atomic<uint64_t> atomic_cas_failed{0};
-  std::atomic<uint64_t> atomic_exch{0};
-  std::atomic<uint64_t> bucket_reads{0};   // one per bucket (cache line) read
-  std::atomic<uint64_t> bucket_writes{0};  // one per bucket write transaction
-  std::atomic<uint64_t> evictions{0};      // cuckoo displacement events
-  std::atomic<uint64_t> lock_conflicts{0}; // failed bucket-lock attempts
-  std::atomic<uint64_t> chain_nodes_visited{0};  // slab-list traversal hops
-  std::atomic<uint64_t> racecheck_findings{0};   // distinct RaceCheck defects
+  DYCUCKOO_COUNTERS(DYCUCKOO_SIM_COUNTERS)
 
   static SimCounters& Get();
-
-  void Reset();
-
-  /// Immutable snapshot for before/after diffs.
-  struct Snapshot {
-    uint64_t atomic_cas = 0;
-    uint64_t atomic_cas_failed = 0;
-    uint64_t atomic_exch = 0;
-    uint64_t bucket_reads = 0;
-    uint64_t bucket_writes = 0;
-    uint64_t evictions = 0;
-    uint64_t lock_conflicts = 0;
-    uint64_t chain_nodes_visited = 0;
-    uint64_t racecheck_findings = 0;
-
-    Snapshot operator-(const Snapshot& rhs) const;
-    std::string ToString() const;
-  };
-
-  Snapshot Capture() const;
 };
 
 inline void CountBucketRead() {

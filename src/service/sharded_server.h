@@ -69,6 +69,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/counters.h"
 #include "common/hash.h"
 #include "common/logging.h"
 #include "common/mutex.h"
@@ -88,16 +89,19 @@
 namespace dycuckoo {
 namespace service {
 
+#define DYCUCKOO_SHARDED_SERVER_STATS_COUNTERS(X)                         \
+  X(submitted)                                                            \
+  X(completed)                                                            \
+  X(subrequests)                                                          \
+  X(shard_rejections)        /* ops refused at the front door */          \
+  X(subrequests_lost)        /* in flight when a shard died */            \
+  X(reshard_blocked_writes)  /* writes to the open chunk */               \
+  X(reshard_rollback_erased) /* partial copies swept */
+
 /// Front-door counters for the sharded deployment (per-shard counters
 /// live on each shard's own ServerStats).
 struct ShardedServerStats {
-  std::atomic<uint64_t> submitted{0};
-  std::atomic<uint64_t> completed{0};
-  std::atomic<uint64_t> subrequests{0};
-  std::atomic<uint64_t> shard_rejections{0};   // ops refused at the front door
-  std::atomic<uint64_t> subrequests_lost{0};   // in flight when a shard died
-  std::atomic<uint64_t> reshard_blocked_writes{0};  // writes to the open chunk
-  std::atomic<uint64_t> reshard_rollback_erased{0};  // partial copies swept
+  DYCUCKOO_COUNTERS(DYCUCKOO_SHARDED_SERVER_STATS_COUNTERS)
 };
 
 template <typename Key, typename Value>

@@ -96,6 +96,23 @@ TEST(DylintTest, UnregisteredKillPointIsFlagged) {
       << run.output;
 }
 
+TEST(DylintTest, UndocumentedCounterIsFlagged) {
+  // The counter registry is the DYCUCKOO_TABLE_STATS_COUNTERS(X) list.
+  const LintRun run = RunDylint(Fixture("undocumented_counter"));
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  // Listed but not documented; the entry follows a multi-line comment.
+  EXPECT_NE(run.output.find("'undocumented_new_counter'"), std::string::npos)
+      << run.output;
+  // Documented but not listed.
+  EXPECT_NE(run.output.find("'removed_stale_counter'"), std::string::npos)
+      << run.output;
+  // A name mentioned inside a list comment is not an entry.
+  EXPECT_EQ(run.output.find("not_a_counter"), std::string::npos)
+      << run.output;
+  EXPECT_NE(run.output.find(", 2 violations\n"), std::string::npos)
+      << run.output;
+}
+
 TEST(DylintTest, UnjustifiedSuppressionIsFlagged) {
   const LintRun run = RunDylint(Fixture("unjustified_suppression"));
   EXPECT_EQ(run.exit_code, 1) << run.output;

@@ -1,24 +1,17 @@
-// Pins docs/robustness.md to the fault-injector kill-point registries.
+// Invariants of the fault-injector kill-point registries.
 //
 // Every kill point the code can cross is named in exactly one registry:
 //   - durability::kKillPointNames        (8, the durability protocol)
 //   - durability::kReshardKillPointNames (5, elastic resharding)
 //   - gpusim::DeviceArena::kSweepKillPointNames (2, memory-fault sweeps)
-// and docs/robustness.md documents each name in backticks.  This test
-// parses the document at runtime and asserts set equality in BOTH
-// directions, so a kill point added (or renamed) in code without a doc
-// update — or documented without existing — fails CI instead of rotting.
-//
-// The historical drift candidates are the `mem.sweep.*` names: they live
-// outside the 8-entry durability registry (a fault-free run never crosses
-// them) and were documented prose-first.
+// These tests pin what no other gate checks: names are unique across the
+// registries and each carries its registry's prefix.  That every name is
+// documented in docs/robustness.md (and every documented name exists) is
+// dylint's registry-sync rule, run over the live tree by
+// DylintTest.LiveTreeIsClean.
 
-#include <cctype>
-#include <fstream>
 #include <set>
-#include <sstream>
 #include <string>
-#include <vector>
 
 #include "gtest/gtest.h"
 
@@ -27,53 +20,6 @@
 
 namespace dycuckoo {
 namespace {
-
-#ifndef DYCUCKOO_SOURCE_DIR
-#error "test_kill_points needs DYCUCKOO_SOURCE_DIR (see tests/CMakeLists.txt)"
-#endif
-
-std::string ReadRobustnessDoc() {
-  const std::string path =
-      std::string(DYCUCKOO_SOURCE_DIR) + "/docs/robustness.md";
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "cannot open " << path;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-// A backticked token counts as a kill-point name iff it starts with a
-// registry prefix followed by a dot and contains only [a-z_.].  That
-// keeps detail keys (`reshard_chunk`), env knobs (`mem_tag_filter`), and
-// file names (`wal-00000-of-N.seg`) out of the set.
-bool LooksLikeKillPoint(const std::string& tok) {
-  static const char* kPrefixes[] = {"wal.", "ckpt.", "mem.", "reshard."};
-  bool prefixed = false;
-  for (const char* p : kPrefixes) {
-    if (tok.rfind(p, 0) == 0) prefixed = true;
-  }
-  if (!prefixed) return false;
-  for (char c : tok) {
-    if (!(std::islower(static_cast<unsigned char>(c)) || c == '_' ||
-          c == '.')) {
-      return false;
-    }
-  }
-  return true;
-}
-
-std::set<std::string> DocumentedKillPoints(const std::string& doc) {
-  std::set<std::string> names;
-  size_t pos = 0;
-  while ((pos = doc.find('`', pos)) != std::string::npos) {
-    const size_t end = doc.find('`', pos + 1);
-    if (end == std::string::npos) break;
-    const std::string tok = doc.substr(pos + 1, end - pos - 1);
-    if (LooksLikeKillPoint(tok)) names.insert(tok);
-    pos = end + 1;
-  }
-  return names;
-}
 
 std::set<std::string> RegisteredKillPoints() {
   std::set<std::string> names;
@@ -113,29 +59,6 @@ TEST(KillPointRegistry, EveryNameCarriesItsRegistryPrefix) {
   for (size_t i = 0; i < durability::kNumKillPoints; ++i) {
     const std::string n = durability::kKillPointNames[i];
     EXPECT_TRUE(n.rfind("wal.", 0) == 0 || n.rfind("ckpt.", 0) == 0) << n;
-  }
-}
-
-TEST(KillPointDocs, DocumentEveryRegisteredKillPoint) {
-  const std::set<std::string> documented =
-      DocumentedKillPoints(ReadRobustnessDoc());
-  ASSERT_FALSE(documented.empty())
-      << "parser found no kill-point tokens at all — doc moved or the "
-         "backtick convention changed?";
-  for (const std::string& name : RegisteredKillPoints()) {
-    EXPECT_TRUE(documented.count(name))
-        << "`" << name
-        << "` is registered in code but not documented in "
-           "docs/robustness.md";
-  }
-}
-
-TEST(KillPointDocs, EveryDocumentedKillPointIsRegistered) {
-  const std::set<std::string> registered = RegisteredKillPoints();
-  for (const std::string& name : DocumentedKillPoints(ReadRobustnessDoc())) {
-    EXPECT_TRUE(registered.count(name))
-        << "docs/robustness.md documents `" << name
-        << "` but no registry defines it (renamed or removed in code?)";
   }
 }
 

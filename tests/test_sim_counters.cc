@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 namespace dycuckoo {
 namespace gpusim {
 namespace {
@@ -53,8 +56,24 @@ TEST(SimCountersTest, ToStringMentionsFields) {
   c.Reset();
   CountEviction();
   std::string s = c.Capture().ToString();
-  EXPECT_NE(s.find("evictions=1"), std::string::npos);
-  EXPECT_NE(s.find("cas="), std::string::npos);
+  EXPECT_NE(s.find("evictions=1"), std::string::npos) << s;
+  // Every field prints under its member name, in declaration order.
+  size_t last = 0;
+  for (const char* name :
+       {"atomic_cas=", "atomic_cas_failed=", "atomic_exch=", "bucket_reads=",
+        "bucket_writes=", "evictions=", "lock_conflicts=",
+        "chain_nodes_visited=", "racecheck_findings="}) {
+    const size_t at = s.find(name, last);
+    ASSERT_NE(at, std::string::npos) << name << " in " << s;
+    last = at;
+  }
+}
+
+TEST(SimCountersTest, OneWordPerCounter) {
+  // The block holds its counters and nothing else, so the layout (and
+  // which counters share a cache line) is the list's order.
+  EXPECT_EQ(sizeof(SimCounters), 9 * sizeof(uint64_t));
+  EXPECT_EQ(sizeof(SimCounters), sizeof(SimCounters::Snapshot));
 }
 
 TEST(SimCountersTest, SingletonIdentity) {

@@ -27,10 +27,10 @@
 //                     suppression.  fetch_xor is always fine.
 //
 //   registry-sync     The three kill-point registries, the TableStats
-//                     counter set, and the Status detail-key set must
-//                     stay set-equal with docs/robustness.md.  This is
-//                     the build-time form of tests/test_kill_points.cc,
-//                     extended to counters and detail keys.
+//                     counter list (DYCUCKOO_TABLE_STATS_COUNTERS), and
+//                     the Status detail-key set must stay set-equal with
+//                     docs/robustness.md.  This rule is the only check
+//                     of code against that document.
 //
 //   bad-suppression   A `dylint:allow` that names an unknown rule or
 //                     lacks a justification string.  Not suppressible.
@@ -483,22 +483,34 @@ void CollectArrayLiterals(const SourceFile& f, const std::string& array_name,
   }
 }
 
-/// TableStats counter members: `std::atomic<uint64_t> NAME{0};` between
-/// `class TableStats` and its first nested `struct`.
+/// TableStats counters: the `X(name)` entries of the
+/// `#define DYCUCKOO_TABLE_STATS_COUNTERS(X)` list (src/dycuckoo/stats.h),
+/// which declares every member, snapshot field and digest entry.  Uses of
+/// the list pass it without `(X)`, so only the definition matches.
 void CollectCounters(const SourceFile& f, std::vector<RegistryEntry>* out) {
-  const size_t cls = f.code.find("class TableStats");
-  if (cls == std::string::npos) return;
-  size_t span_end = f.code.find("struct", cls);
-  if (span_end == std::string::npos) span_end = f.code.size();
-  static const std::string kDecl = "std::atomic<uint64_t>";
-  size_t pos = cls;
-  while ((pos = f.code.find(kDecl, pos)) != std::string::npos &&
-         pos < span_end) {
-    size_t i = SkipWs(f.code, pos + kDecl.size());
-    size_t end = i;
-    while (end < f.code.size() && IsIdentChar(f.code[end])) ++end;
-    if (end > i) {
-      out->push_back({f.code.substr(i, end - i), f.rel_path, f.LineOf(i)});
+  static const std::string kList = "DYCUCKOO_TABLE_STATS_COUNTERS(X)";
+  const std::string& code = f.code;
+  size_t pos = 0;
+  while ((pos = code.find(kList, pos)) != std::string::npos) {
+    // The list ends at the first newline not spliced by a backslash.  Read
+    // that from the raw text: a continuation inside a /* */ comment still
+    // splices, but the code view has blanked it.
+    size_t end = pos;
+    while ((end = f.raw.find('\n', end)) != std::string::npos &&
+           f.raw[end - 1] == '\\') {
+      ++end;
+    }
+    if (end == std::string::npos) end = code.size();
+    for (size_t i = pos + kList.size(); (i = code.find("X(", i)) < end;
+         i += 2) {
+      if (IsIdentChar(code[i - 1])) continue;
+      const size_t name_begin = SkipWs(code, i + 2);
+      size_t name_end = name_begin;
+      while (name_end < end && IsIdentChar(code[name_end])) ++name_end;
+      if (name_end > name_begin) {
+        out->push_back({code.substr(name_begin, name_end - name_begin),
+                        f.rel_path, f.LineOf(name_begin)});
+      }
     }
     pos = end;
   }
@@ -526,8 +538,9 @@ void CollectDetailKeys(const SourceFile& f, std::vector<RegistryEntry>* out) {
   }
 }
 
-/// Kill-point-looking backticked token (same heuristic the runtime test
-/// in tests/test_kill_points.cc uses, so the two layers agree).
+/// Kill-point-looking backticked token: a registry prefix followed by
+/// [a-z_.] only, which keeps detail keys (`reshard_chunk`), env knobs
+/// (`mem_tag_filter`) and file names (`wal-00000-of-N.seg`) out.
 bool LooksLikeKillPoint(const std::string& tok) {
   static const char* kPrefixes[] = {"wal.", "ckpt.", "mem.", "reshard."};
   bool prefixed = false;
