@@ -1,7 +1,5 @@
 #include "durability/checkpoint.h"
 
-#include <cstring>
-
 #include "common/hash.h"
 #include "durability/log_format.h"
 #include "gpusim/fault_injector.h"
@@ -15,26 +13,6 @@ namespace {
 // snapshots span several chunks, so the mid-write kill point and torn
 // faults land inside a payload rather than degenerating to all-or-nothing.
 constexpr size_t kCheckpointChunkBytes = 1024;
-
-uint64_t GetU64(const char* p) {
-  uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-uint32_t GetU32(const char* p) {
-  uint32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
 
 Status CrashedStatus() {
   return Status::Unavailable(

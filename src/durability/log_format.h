@@ -48,10 +48,34 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 namespace dycuckoo {
 namespace durability {
+
+/// Fixed-width field codec shared by the WAL, checkpoint and manifest
+/// formats (host byte order, see above).  The Get* readers do no bounds
+/// checking: callers have validated the frame length first.
+inline void PutU32(std::string* out, uint32_t v) {
+  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+inline void PutU64(std::string* out, uint64_t v) {
+  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+inline uint32_t GetU32(const char* p) {
+  uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+inline uint64_t GetU64(const char* p) {
+  uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
 
 inline constexpr uint64_t kWalMagic = 0xD1C0CC00'4A11F11EULL;
 inline constexpr uint64_t kWalFormatVersion = 1;

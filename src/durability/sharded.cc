@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/hash.h"
+#include "durability/log_format.h"
 
 namespace dycuckoo {
 namespace durability {
@@ -16,14 +17,6 @@ std::string FixedWidth(const char* prefix, uint32_t shard_id,
   std::snprintf(buf, sizeof(buf), "%s%05u-of-%05u%s", prefix, shard_id,
                 num_shards, suffix);
   return buf;
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
 void PutString(std::string* out, const std::string& s) {

@@ -13,6 +13,17 @@
 //    paper's stated future work), and ablation switches for the two-layer
 //    scheme, the voter, and the balance policy (DyCuckooOptions)
 //
+// Each protocol is written once:
+//  * the write-batch driver (RunWriteBatch) owns grow-ahead, failure
+//    retries, resize-to-bounds and the batch status for both BulkInsert
+//    and BulkExecute; its grow loop is Reserve's;
+//  * the candidate-bucket probe (ProbeCandidates) is the one scan of a
+//    key's <= 2 buckets, shared by FIND, DELETE, the upsert probe
+//    (UpdateResident), the scrubber and the test hooks; ScanStash is its
+//    stash leg, and RetryUntilStable the epoch-retry contract that makes
+//    the lock-free probes linearizable against eviction chains;
+//  * ReadSnapshot is the one reader of the (version-2) snapshot format.
+//
 // Threading model: one host thread drives the table (like a CUDA stream);
 // each bulk operation launches a grid of warps that genuinely race on
 // buckets.  Concurrent host-side calls on one table are not supported,
@@ -28,6 +39,7 @@
 #include <memory>
 #include <ostream>
 #include <span>
+#include <streambuf>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -101,70 +113,15 @@ class DynamicTable {
     }
     if (num_failed != nullptr) *num_failed = 0;
     if (keys.empty()) return Status::OK();
-
-    Status grow_failure = Status::OK();
-    if (options_.auto_resize) {
-      // Grow ahead of the batch so theta never exceeds beta mid-kernel;
-      // this performs exactly the upsizes a reactive check would, without
-      // paying for mass insertion failures first.  Failure-triggered
-      // upsizing below remains as the backstop the paper describes.
-      for (int guard = 0; guard < 64; ++guard) {
-        uint64_t cap = capacity_slots();
-        if (cap == 0) break;
-        double projected =
-            static_cast<double>(size() + keys.size()) / static_cast<double>(cap);
-        if (projected <= options_.upper_bound) break;
-        Status st = UpsizeInternal();
-        if (st.IsOutOfMemory()) {
-          // Degrade instead of aborting the whole batch: run it at the
-          // current capacity and let per-key failures surface below.
-          NoteDegradedBatch(&grow_failure, st);
-          break;
-        }
-        DYCUCKOO_RETURN_NOT_OK(st);
-      }
-    }
-
-    FailBuffer fail(keys.size());
-    uint64_t invalid = InsertKernel(keys.data(), values.data(), keys.size(),
-                                    /*exclude_table=*/-1,
-                                    /*check_partner=*/true, &fail);
-
-    int rounds = 0;
-    while (fail.count() > 0 && options_.auto_resize) {
-      if (++rounds > kMaxInsertRetryRounds) break;
-      Status st = UpsizeInternal();
-      if (!st.ok()) {
-        if (st.IsOutOfMemory()) NoteDegradedBatch(&grow_failure, st);
-        break;
-      }
-      FailBuffer next(fail.count());
-      InsertKernel(fail.keys(), fail.values(), fail.count(),
-                   /*exclude_table=*/-1, /*check_partner=*/true, &next);
-      fail = std::move(next);
-    }
-
-    if (options_.auto_resize) DYCUCKOO_RETURN_NOT_OK(ResizeToBounds());
-
-    if (invalid > 0) {
-      return Status::InvalidArgument(
-          "batch contains the reserved empty-key sentinel");
-    }
-    if (fail.count() > 0) {
-      uint64_t batch_failed = AbsorbResidentFailures(fail, keys);
-      if (num_failed != nullptr) *num_failed = batch_failed;
-      if (batch_failed > 0) {
-        if (!grow_failure.ok()) {
-          return Status::OutOfMemory(
-              "could not grow (" + grow_failure.message() + "); " +
-              std::to_string(batch_failed) + " keys failed");
-        }
-        return Status::InsertionFailure("eviction bound exceeded for " +
-                                        std::to_string(batch_failed) +
-                                        " keys");
-      }
-    }
-    return Status::OK();
+    return RunWriteBatch(
+        keys.size(),
+        [&](FailBuffer* fail) {
+          return InsertKernel(keys.data(), values.data(), keys.size(),
+                              /*exclude_table=*/-1, /*check_partner=*/true,
+                              fail);
+        },
+        [&] { return std::unordered_set<Key>(keys.begin(), keys.end()); },
+        num_failed);
   }
 
   /// Looks up a batch.  `values[i]` receives the value when `found[i] != 0`.
@@ -214,74 +171,27 @@ class DynamicTable {
   /// the same batch).  Results are written back into `ops`.
   Status BulkExecute(std::span<MixedOp> ops) {
     if (ops.empty()) return Status::OK();
-    Status grow_failure = Status::OK();
-    if (options_.auto_resize) {
-      uint64_t inserts = 0;
-      for (const MixedOp& op : ops) {
-        if (op.type == MixedOp::Type::kInsert) ++inserts;
-      }
-      for (int guard = 0; guard < 64; ++guard) {
-        uint64_t cap = capacity_slots();
-        if (cap == 0) break;
-        double projected = static_cast<double>(size() + inserts) /
-                           static_cast<double>(cap);
-        if (projected <= options_.upper_bound) break;
-        Status st = UpsizeInternal();
-        if (st.IsOutOfMemory()) {
-          NoteDegradedBatch(&grow_failure, st);
-          break;
-        }
-        DYCUCKOO_RETURN_NOT_OK(st);
-      }
-    }
-    FailBuffer fail(ops.size());
-    std::atomic<uint64_t> invalid{0};
-    MixedOp* op_data = ops.data();
-    const uint64_t n = ops.size();
-    grid_->LaunchWarps(gpusim::WarpsForItems(n), [&](uint64_t warp) {
-      MixedWarp(op_data, n, warp, &fail, &invalid);
-    });
-    SweepHandoffLeftovers(&fail);
-
-    int rounds = 0;
-    while (fail.count() > 0 && options_.auto_resize) {
-      if (++rounds > kMaxInsertRetryRounds) break;
-      Status st = UpsizeInternal();
-      if (!st.ok()) {
-        if (st.IsOutOfMemory()) {
-          NoteDegradedBatch(&grow_failure, st);
-          break;
-        }
-        return st;
-      }
-      FailBuffer next(fail.count());
-      InsertKernel(fail.keys(), fail.values(), fail.count(),
-                   /*exclude_table=*/-1, /*check_partner=*/true, &next);
-      fail = std::move(next);
-    }
-    if (options_.auto_resize) DYCUCKOO_RETURN_NOT_OK(ResizeToBounds());
-    if (invalid.load(kRelaxed) > 0) {
-      return Status::InvalidArgument(
-          "batch contains the reserved empty-key sentinel");
-    }
-    if (fail.count() > 0) {
-      std::vector<Key> batch_keys;
-      for (const MixedOp& op : ops) {
-        if (op.type == MixedOp::Type::kInsert) batch_keys.push_back(op.key);
-      }
-      uint64_t batch_failed = AbsorbResidentFailures(fail, batch_keys);
-      if (batch_failed > 0) {
-        if (!grow_failure.ok()) {
-          return Status::OutOfMemory(
-              "could not grow (" + grow_failure.message() + "); " +
-              std::to_string(batch_failed) + " keys failed");
-        }
-        return Status::InsertionFailure("eviction bound exceeded for " +
-                                        std::to_string(batch_failed) +
-                                        " keys");
-      }
-    }
-    return Status::OK();
+    const uint64_t inserts = std::count_if(ops.begin(), ops.end(), IsInsert);
+    return RunWriteBatch(
+        inserts,
+        [&](FailBuffer* fail) {
+          std::atomic<uint64_t> invalid{0};
+          grid_->LaunchWarps(gpusim::WarpsForItems(ops.size()),
+                             [&](uint64_t warp) {
+                               MixedWarp(ops.data(), ops.size(), warp, fail,
+                                         &invalid);
+                             });
+          SweepHandoffLeftovers(fail);
+          return invalid.load(kRelaxed);
+        },
+        [&] {
+          std::unordered_set<Key> batch_keys;
+          for (const MixedOp& op : ops) {
+            if (IsInsert(op)) batch_keys.insert(op.key);
+          }
+          return batch_keys;
+        },
+        /*num_failed=*/nullptr);
   }
 
   // ---------------------------------------------------------------------
@@ -326,8 +236,9 @@ class DynamicTable {
   /// magic.  The layout is rebuilt on Load, so options may differ across
   /// the round-trip.
   Status Save(std::ostream& os) const {
-    uint64_t header[5] = {kSnapshotMagicV2, kSnapshotFormatVersion, sizeof(Key),
-                          sizeof(Value), size()};
+    uint64_t header[kSnapshotHeaderWords] = {
+        kSnapshotMagicV2, kSnapshotFormatVersion, sizeof(Key), sizeof(Value),
+        size()};
     os.write(reinterpret_cast<const char*>(header), sizeof(header));
     uint64_t bytes_written = 0;
     uint32_t crc = Crc32Update(0, &header[1], 4 * sizeof(uint64_t));
@@ -358,68 +269,25 @@ class DynamicTable {
   }
 
   /// Rebuilds a table from a Save() snapshot under the given options.
-  /// Verifies the CRC-32 trailer; legacy (pre-versioning) snapshots are
-  /// still readable behind their distinct magic.
+  /// Verifies the CRC-32 trailer.  Only the version-2 format is read: any
+  /// other stream, the retired version-1 format included, is refused with
+  /// InvalidArgument.
   static Status Load(std::istream& is, const DyCuckooOptions& options,
                      std::unique_ptr<DynamicTable>* out) {
-    uint64_t magic = 0;
-    is.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-    if (!is.good()) return Status::InvalidArgument("not a DyCuckoo snapshot");
-    if (magic == kSnapshotMagic) return LoadLegacy(is, options, out);
-    if (magic != kSnapshotMagicV2) {
-      return Status::InvalidArgument("not a DyCuckoo snapshot");
-    }
-    uint64_t header[4] = {0, 0, 0, 0};
-    is.read(reinterpret_cast<char*>(header), sizeof(header));
-    if (!is.good()) {
-      return Status::DataLoss("snapshot corrupt: truncated header");
-    }
-    if (header[0] != kSnapshotFormatVersion) {
-      return Status::InvalidArgument("unsupported snapshot format version " +
-                                     std::to_string(header[0]));
-    }
-    if (header[1] != sizeof(Key) || header[2] != sizeof(Value)) {
-      return Status::InvalidArgument("snapshot key/value width mismatch");
-    }
-    uint32_t crc = Crc32Update(0, header, sizeof(header));
     // Build into a local table and publish only on success: a corrupt
     // stream must never hand the caller a partially-populated table.
     std::unique_ptr<DynamicTable> table;
-    DYCUCKOO_RETURN_NOT_OK(Create(options, &table));
-    const uint64_t count = header[3];
-    if (table->options_.auto_resize) {
-      DYCUCKOO_RETURN_NOT_OK(table->Reserve(count));
-    }
-    constexpr uint64_t kChunk = 1 << 16;
-    std::vector<Key> keys(std::min(count, kChunk));
-    std::vector<Value> values(keys.size());
-    uint64_t remaining = count;
-    while (remaining > 0) {
-      uint64_t n = std::min(remaining, kChunk);
-      for (uint64_t i = 0; i < n; ++i) {
-        is.read(reinterpret_cast<char*>(&keys[i]), sizeof(Key));
-        is.read(reinterpret_cast<char*>(&values[i]), sizeof(Value));
-      }
-      if (!is.good()) {
-        return Status::DataLoss("snapshot corrupt: truncated payload");
-      }
-      for (uint64_t i = 0; i < n; ++i) {
-        crc = Crc32Update(crc, &keys[i], sizeof(Key));
-        crc = Crc32Update(crc, &values[i], sizeof(Value));
-      }
-      DYCUCKOO_RETURN_NOT_OK(table->BulkInsert(
-          std::span<const Key>(keys.data(), n),
-          std::span<const Value>(values.data(), n)));
-      remaining -= n;
-    }
-    uint32_t stored_crc = 0;
-    is.read(reinterpret_cast<char*>(&stored_crc), sizeof(stored_crc));
-    if (!is.good()) {
-      return Status::DataLoss("snapshot corrupt: missing CRC trailer");
-    }
-    if (stored_crc != crc) {
-      return Status::DataLoss("snapshot corrupt: CRC mismatch");
-    }
+    DYCUCKOO_RETURN_NOT_OK(ReadSnapshot(
+        is,
+        [&](uint64_t count) -> Status {
+          DYCUCKOO_RETURN_NOT_OK(Create(options, &table));
+          if (!table->options_.auto_resize) return Status::OK();
+          return table->Reserve(count);
+        },
+        [&](const Key* keys, const Value* values, uint64_t n) {
+          return table->BulkInsert(std::span<const Key>(keys, n),
+                                   std::span<const Value>(values, n));
+        }));
     *out = std::move(table);
     return Status::OK();
   }
@@ -480,12 +348,14 @@ class DynamicTable {
   }
 
   /// Grows until at least `entries` fit under the upper bound (avoids
-  /// resize work during a known-size ingest).
+  /// resize work during a known-size ingest).  Gives up with
+  /// CapacityExceeded after 64 upsizes; an upsize's out-of-memory failure
+  /// is returned as is.  Also the write batches' grow-ahead loop.
   Status Reserve(uint64_t entries) {
     for (int guard = 0; guard < 64; ++guard) {
-      uint64_t cap = capacity_slots();
-      if (static_cast<double>(entries) <=
-          options_.upper_bound * static_cast<double>(cap)) {
+      if (static_cast<double>(entries) /
+              static_cast<double>(capacity_slots()) <=
+          options_.upper_bound) {
         return Status::OK();
       }
       DYCUCKOO_RETURN_NOT_OK(UpsizeInternal());
@@ -602,20 +472,7 @@ class DynamicTable {
   std::vector<std::pair<Key, Value>> Dump() const {
     std::vector<std::pair<Key, Value>> out;
     out.reserve(size());
-    for (const auto& t : tables_) {
-      for (uint64_t b = 0; b < t.num_buckets(); ++b) {
-        for (int s = 0; s < kSlots; ++s) {
-          Key k = t.KeyAt(b, s);
-          if (k != kEmptyKey) out.emplace_back(k, t.ValueAt(b, s));
-        }
-      }
-    }
-    for (size_t i = 0; i < stash_keys_.size(); ++i) {
-      Key k = stash_keys_[i].load(std::memory_order_relaxed);
-      if (k != kEmptyKey) {
-        out.emplace_back(k, stash_values_[i].load(std::memory_order_relaxed));
-      }
-    }
+    ForEach([&out](Key k, Value v) { out.emplace_back(k, v); });
     return out;
   }
 
@@ -873,20 +730,9 @@ class DynamicTable {
   /// *before* subtable `table_idx` — i.e. the copy in `table_idx` can never
   /// be returned by a lookup and is safe to collapse.
   bool ShadowedByEarlierCandidate(Key k, int table_idx) const {
-    int candidates[16];
-    int n_cand = CandidateTables(k, candidates);
-    for (int c = 0; c < n_cand; ++c) {
-      if (candidates[c] == table_idx) return false;
-      const SubtableT& t = tables_[candidates[c]];
-      uint64_t loc = t.BucketIndex(k);
-      gpusim::CountBucketRead();
-      Key snap[kSlots];
-      t.SnapshotKeys(loc, snap);
-      for (int s = 0; s < kSlots; ++s) {
-        if (snap[s] == k) return true;
-      }
-    }
-    return false;
+    return ProbeCandidates(
+        k, /*skip=*/-1, [](int, uint64_t, int) { return true; },
+        /*stop_at=*/table_idx);
   }
 
   /// Re-counts stash occupancy against the stash_size_ counter and repairs
@@ -995,42 +841,39 @@ class DynamicTable {
   /// Looks up one key in a raw Save() image without rebuilding a table —
   /// the targeted-repair read path (checkpoint side of the point lookup).
   /// Returns false when the image is not a well-formed, CRC-clean v2
-  /// snapshot for these Key/Value widths; otherwise true, with `*found`
-  /// and (on a hit) `*value` set.
+  /// snapshot for these Key/Value widths (trailing bytes included);
+  /// otherwise true, with `*found` and (on a hit) `*value` set.
   static bool SnapshotFindKey(const char* data, size_t len, Key key,
                               Value* value, bool* found) {
     *found = false;
-    constexpr size_t kHeaderBytes = 5 * sizeof(uint64_t);
-    if (data == nullptr || len < kHeaderBytes + sizeof(uint32_t)) return false;
-    uint64_t header[5];
-    std::memcpy(header, data, kHeaderBytes);
-    if (header[0] != kSnapshotMagicV2 ||
-        header[1] != kSnapshotFormatVersion || header[2] != sizeof(Key) ||
-        header[3] != sizeof(Value)) {
-      return false;
-    }
-    const uint64_t count = header[4];
-    const size_t pair_bytes = sizeof(Key) + sizeof(Value);
-    const size_t payload = len - kHeaderBytes - sizeof(uint32_t);
-    if (payload % pair_bytes != 0 || payload / pair_bytes != count) {
-      return false;
-    }
-    uint32_t crc =
-        Crc32Update(0, data + sizeof(uint64_t), 4 * sizeof(uint64_t));
-    crc = Crc32Update(crc, data + kHeaderBytes, payload);
-    uint32_t stored_crc = 0;
-    std::memcpy(&stored_crc, data + kHeaderBytes + payload,
-                sizeof(stored_crc));
-    if (stored_crc != crc) return false;
-    const char* p = data + kHeaderBytes;
-    for (uint64_t i = 0; i < count; ++i, p += pair_bytes) {
-      Key k{};
-      std::memcpy(&k, p, sizeof(Key));
-      if (k != key) continue;
-      *found = true;
-      if (value != nullptr) std::memcpy(value, p + sizeof(Key), sizeof(Value));
-      return true;
-    }
+    if (data == nullptr) return false;
+    MemoryStreamBuf buf(data, len);
+    std::istream is(&buf);
+    bool hit = false;
+    Value hit_value{};
+    Status st = ReadSnapshot(
+        is,
+        [&](uint64_t count) -> Status {
+          constexpr uint64_t kFixed =
+              kSnapshotHeaderWords * sizeof(uint64_t) + sizeof(uint32_t);
+          constexpr uint64_t kPair = sizeof(Key) + sizeof(Value);
+          if (len < kFixed || (len - kFixed) % kPair != 0 ||
+              (len - kFixed) / kPair != count) {
+            return Status::DataLoss("snapshot length mismatch");
+          }
+          return Status::OK();
+        },
+        [&](const Key* keys, const Value* values, uint64_t n) {
+          for (uint64_t i = 0; i < n && !hit; ++i) {
+            if (keys[i] != key) continue;
+            hit = true;
+            hit_value = values[i];
+          }
+          return Status::OK();
+        });
+    if (!st.ok()) return false;
+    *found = hit;
+    if (hit && value != nullptr) *value = hit_value;
     return true;
   }
 
@@ -1042,16 +885,11 @@ class DynamicTable {
   /// when the key is not resident.
   bool CorruptSlotBitForTest(Key key, int region, int bit = 0) {
     if (key == kEmptyKey) return false;
-    int candidates[16];
-    int n_cand = CandidateTables(key, candidates);
-    for (int c = 0; c < n_cand; ++c) {
-      SubtableT& t = tables_[candidates[c]];
-      uint64_t loc = t.BucketIndex(key);
-      for (int s = 0; s < kSlots; ++s) {
-        if (t.KeyAt(loc, s) != key) continue;
-        t.CorruptBitForTest(loc, s, region, bit);
-        return true;
-      }
+    if (ProbeCandidates(key, /*skip=*/-1, [&](int ti, uint64_t loc, int s) {
+          tables_[ti].CorruptBitForTest(loc, s, region, bit);
+          return true;
+        })) {
+      return true;
     }
     for (size_t i = 0; i < stash_keys_.size(); ++i) {
       if (stash_keys_[i].load(std::memory_order_relaxed) != key) continue;
@@ -1109,22 +947,13 @@ class DynamicTable {
   bool PlantShadowedDuplicateForTest(Key key, Value stale_value,
                                      bool into_stash = false) {
     if (key == kEmptyKey) return false;
-    int candidates[16];
-    int n_cand = CandidateTables(key, candidates);
     int home = -1;
-    for (int c = 0; c < n_cand && home < 0; ++c) {
-      SubtableT& t = tables_[candidates[c]];
-      uint64_t loc = t.BucketIndex(key);
-      Key snap[kSlots];
-      t.SnapshotKeys(loc, snap);
-      for (int s = 0; s < kSlots; ++s) {
-        if (snap[s] == key) {
-          home = c;
-          break;
-        }
-      }
+    if (!ProbeCandidates(key, /*skip=*/-1, [&](int ti, uint64_t, int) {
+          home = ti;
+          return true;
+        })) {
+      return false;
     }
-    if (home < 0) return false;
     if (into_stash) {
       for (size_t i = 0; i < stash_keys_.size(); ++i) {
         if (stash_keys_[i].load(std::memory_order_relaxed) == kEmptyKey) {
@@ -1137,7 +966,11 @@ class DynamicTable {
       }
       return false;
     }
-    for (int c = home + 1; c < n_cand; ++c) {
+    int candidates[16];
+    const int n_cand = CandidateTables(key, candidates);
+    const int home_pos = std::find(candidates, candidates + n_cand, home) -
+                         candidates;
+    for (int c = home_pos + 1; c < n_cand; ++c) {
       SubtableT& t = tables_[candidates[c]];
       uint64_t loc = t.BucketIndex(key);
       while (!t.lock(loc).TryLock()) {
@@ -1164,32 +997,24 @@ class DynamicTable {
   /// parked copy first.
   bool ParkVictimForTest(Key key) {
     if (key == kEmptyKey) return false;
-    int candidates[16];
-    int n_cand = CandidateTables(key, candidates);
-    for (int c = 0; c < n_cand; ++c) {
-      SubtableT& t = tables_[candidates[c]];
-      uint64_t loc = t.BucketIndex(key);
+    return ProbeCandidates(key, /*skip=*/-1, [&](int ti, uint64_t loc, int s) {
+      SubtableT& t = tables_[ti];
       while (!t.lock(loc).TryLock()) {
       }
-      for (int s = 0; s < kSlots; ++s) {
-        if (t.KeyAt(loc, s) != key) continue;
-        int slot = -1;
-        uint64_t word = 0;
-        if (!ring_.Park(key, t.ValueAt(loc, s), &slot, &word)) {
-          t.lock(loc).Unlock();
-          return false;
-        }
+      int slot = -1;
+      uint64_t word = 0;
+      const bool parked = t.KeyAt(loc, s) == key &&
+                          ring_.Park(key, t.ValueAt(loc, s), &slot, &word);
+      if (parked) {
         stats_.parked_victims.fetch_add(1, kRelaxed);
         t.StoreKey(loc, s, kEmptyKey);
-        t.lock(loc).Unlock();
-        // In-flight victims are uncounted (a real swap is count-neutral:
-        // the incoming pair takes the slot this hook leaves empty).
-        t.AddSize(-1);
-        return true;
       }
       t.lock(loc).Unlock();
-    }
-    return false;
+      // In-flight victims are uncounted (a real swap is count-neutral: the
+      // incoming pair takes the slot this hook leaves empty).
+      if (parked) t.AddSize(-1);
+      return parked;
+    });
   }
 
   /// TEST HOOK: runs the post-launch handoff reconciliation (claimed
@@ -1210,62 +1035,149 @@ class DynamicTable {
   static constexpr uint32_t kStashVacant = 0;
   static constexpr uint32_t kStashLive = 1;
   static constexpr uint32_t kStashBusy = 2;
-  /// Legacy (version-1, headerless, no checksum) snapshot magic.
-  static constexpr uint64_t kSnapshotMagic = 0xD1C0CC00'5A4B1705ULL;
-  /// Version-2 snapshot magic (format-version field + CRC-32 trailer).
+  /// Snapshot magic, format version and header size (magic, version, key
+  /// width, value width, entry count).
   static constexpr uint64_t kSnapshotMagicV2 = 0xD1C0CC00'5A4B1706ULL;
   static constexpr uint64_t kSnapshotFormatVersion = 2;
+  static constexpr int kSnapshotHeaderWords = 5;
   /// A committing downsize may park at most this many unplaceable residuals
   /// in the stash; beyond it the whole downsize rolls back instead.
   static constexpr uint64_t kMaxDownsizeSpill = 64;
 
   explicit DynamicTable(const DyCuckooOptions& options) : options_(options) {}
 
-  /// Reads the remainder of a version-1 snapshot (after the magic).
-  static Status LoadLegacy(std::istream& is, const DyCuckooOptions& options,
-                           std::unique_ptr<DynamicTable>* out) {
-    uint64_t header[3] = {0, 0, 0};
-    is.read(reinterpret_cast<char*>(header), sizeof(header));
-    if (!is.good()) return Status::InvalidArgument("not a DyCuckoo snapshot");
-    if (header[0] != sizeof(Key) || header[1] != sizeof(Value)) {
+  /// Reads a version-2 snapshot: the one parser behind Load and
+  /// SnapshotFindKey.  Checks the header, calls `on_count(entries)` before
+  /// the payload, hands the payload to `on_pairs(keys, values, n)` in
+  /// chunks, and verifies the CRC-32 trailer; an error from either
+  /// callback ends the read.
+  template <typename OnCount, typename OnPairs>
+  static Status ReadSnapshot(std::istream& is, OnCount&& on_count,
+                             OnPairs&& on_pairs) {
+    uint64_t header[kSnapshotHeaderWords] = {};
+    is.read(reinterpret_cast<char*>(header), sizeof(uint64_t));
+    if (!is.good() || header[0] != kSnapshotMagicV2) {
+      return Status::InvalidArgument("not a DyCuckoo snapshot");
+    }
+    is.read(reinterpret_cast<char*>(&header[1]), 4 * sizeof(uint64_t));
+    if (!is.good()) {
+      return Status::DataLoss("snapshot corrupt: truncated header");
+    }
+    if (header[1] != kSnapshotFormatVersion) {
+      return Status::InvalidArgument("unsupported snapshot format version " +
+                                     std::to_string(header[1]));
+    }
+    if (header[2] != sizeof(Key) || header[3] != sizeof(Value)) {
       return Status::InvalidArgument("snapshot key/value width mismatch");
     }
-    // As in Load: publish the table only after the whole stream parsed.
-    std::unique_ptr<DynamicTable> table;
-    DYCUCKOO_RETURN_NOT_OK(Create(options, &table));
-    const uint64_t count = header[2];
-    if (table->options_.auto_resize) {
-      DYCUCKOO_RETURN_NOT_OK(table->Reserve(count));
-    }
+    uint32_t crc = Crc32Update(0, &header[1], 4 * sizeof(uint64_t));
+    const uint64_t count = header[4];
+    DYCUCKOO_RETURN_NOT_OK(on_count(count));
     constexpr uint64_t kChunk = 1 << 16;
     std::vector<Key> keys(std::min(count, kChunk));
     std::vector<Value> values(keys.size());
-    uint64_t remaining = count;
-    while (remaining > 0) {
-      uint64_t n = std::min(remaining, kChunk);
+    for (uint64_t remaining = count; remaining > 0;) {
+      const uint64_t n = std::min(remaining, kChunk);
       for (uint64_t i = 0; i < n; ++i) {
         is.read(reinterpret_cast<char*>(&keys[i]), sizeof(Key));
         is.read(reinterpret_cast<char*>(&values[i]), sizeof(Value));
       }
-      if (!is.good()) return Status::InvalidArgument("snapshot truncated");
-      DYCUCKOO_RETURN_NOT_OK(table->BulkInsert(
-          std::span<const Key>(keys.data(), n),
-          std::span<const Value>(values.data(), n)));
+      if (!is.good()) {
+        return Status::DataLoss("snapshot corrupt: truncated payload");
+      }
+      for (uint64_t i = 0; i < n; ++i) {
+        crc = Crc32Update(crc, &keys[i], sizeof(Key));
+        crc = Crc32Update(crc, &values[i], sizeof(Value));
+      }
+      DYCUCKOO_RETURN_NOT_OK(on_pairs(keys.data(), values.data(), n));
       remaining -= n;
     }
-    *out = std::move(table);
+    uint32_t stored_crc = 0;
+    is.read(reinterpret_cast<char*>(&stored_crc), sizeof(stored_crc));
+    if (!is.good()) {
+      return Status::DataLoss("snapshot corrupt: missing CRC trailer");
+    }
+    if (stored_crc != crc) {
+      return Status::DataLoss("snapshot corrupt: CRC mismatch");
+    }
     return Status::OK();
   }
 
-  /// Records that a batch ran without the capacity growth it wanted
-  /// (counted once per batch, keeping the first failure's message).
-  void NoteDegradedBatch(Status* grow_failure, const Status& oom) {
-    if (!grow_failure->ok()) return;
-    stats_.degraded_batches.fetch_add(1, kRelaxed);
-    *grow_failure = oom;
-  }
+  /// Read-only stream buffer over a byte range (SnapshotFindKey parses a
+  /// checkpoint image in place).
+  struct MemoryStreamBuf : std::streambuf {
+    MemoryStreamBuf(const char* data, size_t len) {
+      char* p = const_cast<char*>(data);
+      setg(p, p, p + len);
+    }
+  };
 
   class FailBuffer;  // defined below
+
+  static bool IsInsert(const MixedOp& op) {
+    return op.type == MixedOp::Type::kInsert;
+  }
+
+  /// The write-batch driver behind BulkInsert and BulkExecute.  With
+  /// auto_resize it grows ahead so the batch's `inserts` fit under beta,
+  /// runs `launch` once (it pushes exhausted chains into the fail buffer
+  /// it is given and returns how many reserved-sentinel keys it skipped),
+  /// re-inserts the failures after each further upsize, and restores
+  /// theta to bounds.  Leftover failures that are not the batch's own keys
+  /// (`batch_keys()`, built only when something failed) are stashed; the
+  /// rest become the status and `*num_failed`.
+  template <typename Launch, typename BatchKeys>
+  Status RunWriteBatch(uint64_t inserts, Launch&& launch,
+                       BatchKeys&& batch_keys, uint64_t* num_failed) {
+    // Out of memory degrades the batch instead of aborting it: the batch
+    // runs at the current capacity and per-key failures surface below.
+    // The first failure is kept and counted once per batch.
+    Status grow_failure = Status::OK();
+    auto note_growth = [&](const Status& st) {
+      if (!st.IsOutOfMemory() || !grow_failure.ok()) return;
+      stats_.degraded_batches.fetch_add(1, kRelaxed);
+      grow_failure = st;
+    };
+    if (options_.auto_resize) {
+      // Grow ahead of the batch so theta never exceeds beta mid-kernel;
+      // this performs exactly the upsizes a reactive check would, without
+      // paying for mass insertion failures first.  Failure-triggered
+      // upsizing below remains as the backstop the paper describes (and
+      // takes over when the batch outgrows Reserve's guard).
+      note_growth(Reserve(size() + inserts));
+    }
+
+    FailBuffer fail(inserts);
+    const uint64_t invalid = launch(&fail);
+    for (int round = 0; round < kMaxInsertRetryRounds && fail.count() > 0 &&
+                        options_.auto_resize;
+         ++round) {
+      Status st = UpsizeInternal();
+      note_growth(st);
+      if (!st.ok()) break;
+      FailBuffer next(fail.count());
+      InsertKernel(fail.keys(), fail.values(), fail.count(),
+                   /*exclude_table=*/-1, /*check_partner=*/true, &next);
+      fail = std::move(next);
+    }
+
+    if (options_.auto_resize) DYCUCKOO_RETURN_NOT_OK(ResizeToBounds());
+    if (invalid > 0) {
+      return Status::InvalidArgument(
+          "batch contains the reserved empty-key sentinel");
+    }
+    if (fail.count() == 0) return Status::OK();
+    const uint64_t batch_failed = AbsorbResidentFailures(fail, batch_keys());
+    if (num_failed != nullptr) *num_failed = batch_failed;
+    if (batch_failed == 0) return Status::OK();
+    if (!grow_failure.ok()) {
+      return Status::OutOfMemory("could not grow (" + grow_failure.message() +
+                                 "); " + std::to_string(batch_failed) +
+                                 " keys failed");
+    }
+    return Status::InsertionFailure("eviction bound exceeded for " +
+                                    std::to_string(batch_failed) + " keys");
+  }
 
   /// A terminal fail buffer usually does NOT hold the batch keys that
   /// started the failing chains: cuckoo insertion displaces residents as it
@@ -1273,11 +1185,9 @@ class DynamicTable {
   /// key stored long before this batch.  Dropping it would silently lose
   /// data the caller never handed us in this call.  Residents are parked in
   /// the stash (lossless; drained back on the next upsize); only keys that
-  /// belong to `batch` are genuine failures the caller must retry.
-  template <typename KeyRange>
+  /// belong to the batch are genuine failures the caller must retry.
   uint64_t AbsorbResidentFailures(const FailBuffer& fail,
-                                  const KeyRange& batch) {
-    std::unordered_set<Key> batch_keys(batch.begin(), batch.end());
+                                  const std::unordered_set<Key>& batch_keys) {
     uint64_t batch_failed = 0;
     for (uint64_t i = 0; i < fail.count(); ++i) {
       if (batch_keys.count(fail.keys()[i]) > 0) {
@@ -1614,35 +1524,46 @@ class DynamicTable {
     uint64_t prep_epoch = 0;
   };
 
+  /// Per-warp insert outcomes, flushed into stats_ once per warp.
+  struct InsertTally {
+    uint64_t inserted = 0;
+    uint64_t updated = 0;
+    uint64_t failed = 0;
+    uint64_t evicted = 0;
+    uint64_t invalid = 0;  ///< reserved-sentinel keys skipped
+  };
+
+  void FlushInsertTally(const InsertTally& tally,
+                        std::atomic<uint64_t>* invalid) {
+    if (tally.inserted) stats_.inserts_new.fetch_add(tally.inserted, kRelaxed);
+    if (tally.updated) {
+      stats_.inserts_updated.fetch_add(tally.updated, kRelaxed);
+    }
+    if (tally.failed) stats_.insert_failures.fetch_add(tally.failed, kRelaxed);
+    if (tally.evicted) stats_.evictions.fetch_add(tally.evicted, kRelaxed);
+    if (tally.invalid) invalid->fetch_add(tally.invalid, kRelaxed);
+  }
+
   /// One warp's share of the insert batch: 32 ops, one per lane, processed
   /// with the paper's voter coordination (Algorithm 1).
   void InsertWarp(const Key* keys, const Value* values, uint64_t n,
                   uint64_t warp, int exclude_table, bool check_partner,
                   FailBuffer* fail, std::atomic<uint64_t>* invalid) {
     LaneOp ops[gpusim::kWarpSize];
-    uint64_t local_new = 0, local_updated = 0, local_failed = 0,
-             local_invalid = 0, local_evictions = 0;
-
+    InsertTally tally;
     const uint64_t base = warp * gpusim::kWarpSize;
     for (int lane = 0; lane < gpusim::kWarpSize; ++lane) {
       uint64_t idx = base + lane;
       if (idx >= n) continue;
       if (keys[idx] == kEmptyKey) {
-        ++local_invalid;
+        ++tally.invalid;
         continue;
       }
       PrepareInsertLane(keys[idx], values[idx], exclude_table, check_partner,
-                        &ops[lane], &local_updated);
+                        &ops[lane], &tally);
     }
-
-    RunVoterLoop(ops, exclude_table, check_partner, fail, &local_new,
-                 &local_updated, &local_failed, &local_evictions);
-
-    if (local_new) stats_.inserts_new.fetch_add(local_new, kRelaxed);
-    if (local_updated) stats_.inserts_updated.fetch_add(local_updated, kRelaxed);
-    if (local_failed) stats_.insert_failures.fetch_add(local_failed, kRelaxed);
-    if (local_evictions) stats_.evictions.fetch_add(local_evictions, kRelaxed);
-    if (local_invalid) invalid->fetch_add(local_invalid, kRelaxed);
+    RunVoterLoop(ops, exclude_table, check_partner, fail, &tally);
+    FlushInsertTally(tally, invalid);
   }
 
   /// Prepares one lane's insert: layer-1 pair, balance-weighted target, and
@@ -1650,53 +1571,16 @@ class DynamicTable {
   /// key never ends up stored twice (see DESIGN.md deviation note).
   /// Two-layer mode probes one partner bucket; plain mode pays d-1 probes.
   void PrepareInsertLane(Key key, Value value, int exclude_table,
-                         bool check_partner, LaneOp* op, uint64_t* updated) {
+                         bool check_partner, LaneOp* op, InsertTally* tally) {
     op->key = key;
     op->value = value;
     op->pair = pair_map_.PairFor(static_cast<uint64_t>(key));
     op->target = ChooseTarget(key, op->pair, exclude_table);
     op->active = true;
     op->prep_epoch = ring_.epoch();
-    if (!check_partner) return;
-    int candidates[16];
-    int n_cand = CandidateTables(key, candidates);
-    for (int c = 0; c < n_cand && op->active; ++c) {
-      if (candidates[c] == op->target) continue;
-      SubtableT& pt = tables_[candidates[c]];
-      uint64_t loc = pt.BucketIndex(key);
-      gpusim::CountBucketRead();
-      Key snap[kSlots];
-      pt.SnapshotKeys(loc, snap);
-      for (int s = 0; s < kSlots; ++s) {
-        if (snap[s] == key) {
-          // Unlocked upsert: concurrent upserts of the same key are
-          // last-writer-wins; TryUpsertSlotValue's CAS protocol keeps the
-          // write out of a slot an eviction chain recycled between the
-          // snapshot and the store.
-          if (!TryUpsertSlotValue(pt, loc, s, key, value)) continue;
-          op->active = false;
-          ++*updated;
-          break;
-        }
-      }
-    }
-    if (op->active && ring_.count() > 0 &&
-        ring_.UpdateValue(key, value)) {
-      // The key is mid-displacement in another chain; updating its parked
-      // copy is an upsert (the owning chain re-reads the parked value when
-      // it re-homes the victim).
+    if (check_partner && UpdateResident(key, value, op->target)) {
       op->active = false;
-      ++*updated;
-    }
-    if (op->active && stash_size_.load(std::memory_order_acquire) > 0) {
-      for (size_t i = 0; i < stash_keys_.size(); ++i) {
-        if (gpusim::LoadAcquire(&stash_keys_[i]) == key) {
-          StashStoreValue(i, value);
-          op->active = false;
-          ++*updated;
-          break;
-        }
-      }
+      ++tally->updated;
     }
   }
 
@@ -1707,13 +1591,7 @@ class DynamicTable {
   /// cycle, so recomputing it with a 32-lane loop each round would charge
   /// the simulation a cost the GPU never pays.
   void RunVoterLoop(LaneOp* ops, int exclude_table, bool check_partner,
-                    FailBuffer* fail, uint64_t* local_new,
-                    uint64_t* local_updated, uint64_t* local_failed,
-                    uint64_t* local_evictions) {
-    uint64_t& new_count = *local_new;
-    uint64_t& updated = *local_updated;
-    uint64_t& failed = *local_failed;
-    uint64_t& evicted = *local_evictions;
+                    FailBuffer* fail, InsertTally* tally) {
     int chain_limit = options_.max_eviction_chain;
     if (gpusim::FaultInjector* fi = gpusim::FaultInjector::Active()) {
       chain_limit = fi->ClampEvictionChain(chain_limit);
@@ -1721,8 +1599,7 @@ class DynamicTable {
     gpusim::LaneMask active =
         gpusim::Ballot([&](int lane) { return ops[lane].active; });
     int prev_leader = -1;
-    for (;;) {
-      if (active == 0) break;
+    while (active != 0) {
       // With the voter disabled (ablation) the lowest active lane stays
       // leader and spins on its lock; with it enabled a lock failure
       // rotates leadership to another lane's bucket.
@@ -1738,6 +1615,26 @@ class DynamicTable {
         gpusim::CountLockConflict();
         continue;  // revote (a different leader is preferred next)
       }
+      // The ways a lane's op ends; each releases the bucket lock.
+      auto end_op = [&] {
+        table.lock(loc).Unlock();
+        op.active = false;
+        active &= ~(gpusim::LaneMask{1} << leader);
+      };
+      auto end_updated = [&] {
+        end_op();
+        ++tally->updated;
+      };
+      auto end_placed = [&](int slot) {  // `slot` is vacant
+        bool placed = PlaceTerminal(table, loc, slot, &op);
+        end_op();
+        if (placed) table.AddSize(1);
+        ++tally->inserted;
+      };
+      auto end_failed = [&] {
+        end_op();
+        ResolveStuckOp(&op, fail, &tally->failed);
+      };
 
       // The warp cooperatively scans the locked bucket: one lane per slot.
       gpusim::CountBucketRead();
@@ -1765,17 +1662,16 @@ class DynamicTable {
             if (!(latest == op.value)) table.StoreValue(loc, match_slot, latest);
           } else {
             // A concurrent DELETE claimed the parked copy: it wins, and it
-            // takes the bucket copy with it.
-            table.StoreKey(loc, match_slot, kEmptyKey);
-            table.AddSize(-1);
+            // takes the bucket copy with it (unless another DELETE already
+            // erased and uncounted that copy).
+            if (table.CasKey(loc, match_slot, op.key, kEmptyKey)) {
+              table.AddSize(-1);
+            }
             ring_.FreeClaimed(op.ring_slot);
           }
           op.ring_slot = -1;
         }
-        table.lock(loc).Unlock();
-        op.active = false;
-        active &= ~(gpusim::LaneMask{1} << leader);
-        ++updated;
+        end_updated();
         continue;
       }
       if (check_partner && op.evictions == 0 &&
@@ -1785,24 +1681,18 @@ class DynamicTable {
         // may have relocated the key in the meantime.  The relocated copy
         // is re-placed (another candidate bucket or the stash) or still in
         // flight — and an in-flight pair is always visible in the handoff
-        // ring between voter iterations — so UpdateIfPresentElsewhere
-        // finds it wherever it lives instead of us storing a duplicate.
-        if (UpdateIfPresentElsewhere(op.key, op.value, op.target)) {
-          table.lock(loc).Unlock();
-          op.active = false;
-          active &= ~(gpusim::LaneMask{1} << leader);
-          ++updated;
+        // ring between voter iterations — so the re-probe, under the
+        // epoch-retry contract, finds it wherever it lives instead of us
+        // storing a duplicate.
+        if (RetryUntilStable(
+                [&] { return UpdateResident(op.key, op.value, op.target); })) {
+          end_updated();
           stats_.insert_reprobe_updates.fetch_add(1, kRelaxed);
           continue;
         }
       }
       if (empty_slot >= 0) {
-        bool placed = PlaceTerminal(table, loc, empty_slot, &op);
-        table.lock(loc).Unlock();
-        if (placed) table.AddSize(1);
-        op.active = false;
-        active &= ~(gpusim::LaneMask{1} << leader);
-        ++new_count;
+        end_placed(empty_slot);
         continue;
       }
 
@@ -1811,46 +1701,37 @@ class DynamicTable {
       // chain goes to the stash when one is configured (the paper's
       // future-work extension), else to the failure buffer.
       if (op.evictions >= chain_limit) {
-        table.lock(loc).Unlock();
-        op.active = false;
-        active &= ~(gpusim::LaneMask{1} << leader);
-        ResolveStuckOp(&op, fail, &failed);
+        end_failed();
         continue;
       }
-      int victim =
+      const int victim =
           ChooseVictim(table, loc, op.target,
                        static_cast<uint64_t>(op.key) + op.evictions,
                        exclude_table);
-      int next_target = -1;
-      Key vk{};
-      Value vv{};
-      if (victim >= 0) {
-        vk = table.KeyAt(loc, victim);
-        vv = table.ValueAt(loc, victim);
-        if (vk == kEmptyKey) {
-          // A concurrent lock-free delete vacated the slot after our scan:
-          // claim it directly instead of evicting.
-          bool placed = PlaceTerminal(table, loc, victim, &op);
-          table.lock(loc).Unlock();
-          if (placed) table.AddSize(1);
-          op.active = false;
-          active &= ~(gpusim::LaneMask{1} << leader);
-          ++new_count;
-          continue;
-        }
-        next_target = EvictionTarget(vk, op.target, op.evictions,
-                                     exclude_table);
+      // Dead end (no eligible victim, or every continuation would enter
+      // the excluded subtable): fail the op exactly like an exhausted
+      // chain.
+      if (victim < 0) {
+        end_failed();
+        continue;
       }
-      if (victim < 0 || next_target < 0) {
-        // Dead end: every continuation would enter the excluded subtable.
-        // Fail the op exactly like an exhausted chain.
-        table.lock(loc).Unlock();
-        op.active = false;
-        active &= ~(gpusim::LaneMask{1} << leader);
-        ResolveStuckOp(&op, fail, &failed);
+      const Key vk = table.KeyAt(loc, victim);
+      Value vv = table.ValueAt(loc, victim);
+      if (vk == kEmptyKey) {
+        // A concurrent lock-free delete vacated the slot after our scan:
+        // claim it directly instead of evicting.
+        end_placed(victim);
+        continue;
+      }
+      const int next_target =
+          EvictionTarget(vk, op.target, op.evictions, exclude_table);
+      if (next_target < 0) {
+        end_failed();
         continue;
       }
 
+      int vslot = -1;
+      uint64_t vword = 0;
       if (options_.unsafe_overwrite_before_park_for_test) {
         // Test-only regression mode: the pre-fix behavior.  The victim's
         // slot is overwritten while the displaced pair has no other
@@ -1860,52 +1741,52 @@ class DynamicTable {
         table.StoreSlot(loc, victim, op.key, op.value);
         gpusim::CountBucketWrite();
         table.lock(loc).Unlock();
-        // Dawdle while the displaced pair has no visible home, widening
-        // the window so the checker reliably catches the transient miss.
-        for (int i = 0; i < options_.eviction_delay_spins_for_test; ++i) {
-          std::this_thread::yield();
+      } else {
+        // Park the victim in the handoff ring BEFORE touching its slot, so
+        // FIND/DELETE (buckets -> ring -> stash) see the key at every
+        // instant of the chain.
+        if (!ring_.Park(vk, vv, &vslot, &vword)) {
+          // Ring momentarily full: resolve the *incoming* pair through the
+          // stash/failure path and leave the victim untouched in its
+          // bucket — a displaced pair is never dropped.
+          stats_.handoff_full_fallbacks.fetch_add(1, kRelaxed);
+          end_failed();
+          continue;
         }
-        gpusim::CountEviction();
-        ++evicted;
-        op.key = vk;
-        op.value = vv;
-        op.target = next_target;
-        ++op.evictions;
-        continue;
-      }
-
-      // Park the victim in the handoff ring BEFORE touching its slot, so
-      // FIND/DELETE (buckets -> ring -> stash) see the key at every
-      // instant of the chain.
-      int vslot = -1;
-      uint64_t vword = 0;
-      if (!ring_.Park(vk, vv, &vslot, &vword)) {
-        // Ring momentarily full: resolve the *incoming* pair through the
-        // stash/failure path and leave the victim untouched in its
-        // bucket — a displaced pair is never dropped.
-        stats_.handoff_full_fallbacks.fetch_add(1, kRelaxed);
+        stats_.parked_victims.fetch_add(1, kRelaxed);
+        // Unpublish the victim's key before the overwrite so no reader can
+        // pair vk with the incoming value mid-swap; the parked copy keeps
+        // vk findable through the empty window.  DELETE is lock-free, so
+        // this is a CAS: losing it means a DELETE erased (and uncounted)
+        // the victim after it was read.  The parked copy is then withdrawn
+        // and the slot is simply vacant.
+        if (!table.CasKey(loc, victim, vk, kEmptyKey)) {
+          Value unused{};
+          if (!ring_.Retire(vslot, vword, &unused)) ring_.FreeClaimed(vslot);
+          end_placed(victim);
+          continue;
+        }
+        // A lock-free upsert may have landed after vv was read; with the
+        // key unpublished no further upsert can reach the slot, so its
+        // value is final and the parked copy takes it.
+        if (Value cur = table.ValueAt(loc, victim); !(cur == vv)) {
+          ring_.UpdateValue(vk, cur);
+          vv = cur;
+        }
+        bool placed = PlaceTerminal(table, loc, victim, &op);
         table.lock(loc).Unlock();
-        op.active = false;
-        active &= ~(gpusim::LaneMask{1} << leader);
-        ResolveStuckOp(&op, fail, &failed);
-        continue;
+        // A swap is count-neutral (victim out, incoming pair in); when the
+        // incoming pair was deleted mid-flight the slot ended up empty, so
+        // the subtable lost the victim without gaining a replacement.
+        if (!placed) table.AddSize(-1);
       }
-      stats_.parked_victims.fetch_add(1, kRelaxed);
-      // Unpublish the victim's key before the overwrite so no reader can
-      // pair vk with the incoming value mid-swap; the parked copy keeps vk
-      // findable through the empty window.
-      table.StoreKey(loc, victim, kEmptyKey);
-      bool placed = PlaceTerminal(table, loc, victim, &op);
-      table.lock(loc).Unlock();
-      // A swap is count-neutral (victim out, incoming pair in); when the
-      // incoming pair was deleted mid-flight the slot ended up empty, so
-      // the subtable lost the victim without gaining a replacement.
-      if (!placed) table.AddSize(-1);
+      // Dawdle with the displaced pair in flight, widening the window the
+      // linearizability tests probe.
       for (int i = 0; i < options_.eviction_delay_spins_for_test; ++i) {
         std::this_thread::yield();
       }
       gpusim::CountEviction();
-      ++evicted;
+      ++tally->evicted;
 
       op.key = vk;
       op.value = vv;
@@ -1923,7 +1804,7 @@ class DynamicTable {
   /// never observes a gap.  Returns false when a concurrent DELETE claimed
   /// the parked copy: the placement is undone (the delete wins) and the
   /// slot is left empty.  The caller still holds the bucket lock and owns
-  /// the size accounting either way.
+  /// the size accounting either way; a true return counts the pair.
   bool PlaceTerminal(SubtableT& table, uint64_t loc, int slot, LaneOp* op) {
     table.StoreSlot(loc, slot, op->key, op->value);
     gpusim::CountBucketWrite();
@@ -1936,10 +1817,13 @@ class DynamicTable {
       op->ring_slot = -1;
       return true;
     }
-    table.StoreKey(loc, slot, kEmptyKey);
+    // The published copy was visible, so a second DELETE may already have
+    // erased and uncounted it: then the slot is vacant and the pair counts
+    // as placed, balancing that DELETE's decrement.
+    bool undone = table.CasKey(loc, slot, op->key, kEmptyKey);
     ring_.FreeClaimed(op->ring_slot);
     op->ring_slot = -1;
-    return false;
+    return !undone;
   }
 
   /// Terminal failure path (exhausted chain, dead end, or full handoff
@@ -2001,45 +1885,87 @@ class DynamicTable {
     }
   }
 
-  /// Probes the key's candidate buckets other than `skip_table`, then the
-  /// stash, updating the value in place on a hit.  Used by the voter loop
-  /// to close the window between a lane's prepare-phase upsert probe and
-  /// its placement, during which an eviction chain may have relocated the
-  /// key.
-  bool UpdateIfPresentElsewhere(Key key, Value value, int skip_table) {
+  // ---- The probe: candidate buckets, handoff ring, stash -------------------
+
+  /// The candidate-bucket probe behind FIND, DELETE, the upsert probe, the
+  /// scrubber's shadow check and the key-searching test hooks.  Scans the
+  /// buckets that may hold `key` in FIND's order — the two of its layer-1
+  /// pair (Section V-A), or one per subtable in plain mode — skipping
+  /// subtable `skip` and stopping at subtable `stop_at`.  Each scan is one
+  /// bucket transaction (a key-row snapshot); `on_match(table_idx, loc,
+  /// slot)` runs for every slot whose snapshotted key is `key` and returns
+  /// true to end the probe.  Returns true iff it did.
+  template <typename OnMatch>
+  bool ProbeCandidates(Key key, int skip, OnMatch&& on_match,
+                       int stop_at = -1) const {
     int candidates[16];
-    int n_cand = CandidateTables(key, candidates);
-    // Epoch-retry contract (see FindOneInternal): "absent elsewhere" is
-    // only trustworthy when no displacement overlapped the probe.  A copy
-    // in flight through another chain is updated in place in the handoff
-    // ring; the owning chain re-reads the parked value at retire time, so
-    // the update survives the re-homing.
-    for (int attempt = 0; attempt < kMaxProbeRetries; ++attempt) {
-      const uint64_t epoch = ring_.epoch();
-      for (int c = 0; c < n_cand; ++c) {
-        if (candidates[c] == skip_table) continue;
-        SubtableT& t = tables_[candidates[c]];
-        uint64_t loc = t.BucketIndex(key);
-        gpusim::CountBucketRead();
-        Key snap[kSlots];
-        t.SnapshotKeys(loc, snap);
-        for (int s = 0; s < kSlots; ++s) {
-          if (snap[s] != key) continue;
-          if (TryUpsertSlotValue(t, loc, s, key, value)) return true;
-        }
+    const int n_cand = CandidateTables(key, candidates);
+    for (int c = 0; c < n_cand && candidates[c] != stop_at; ++c) {
+      if (candidates[c] == skip) continue;
+      const SubtableT& t = tables_[candidates[c]];
+      const uint64_t loc = t.BucketIndex(key);
+      gpusim::CountBucketRead();
+      Key snap[kSlots];
+      t.SnapshotKeys(loc, snap);
+      for (int s = 0; s < kSlots; ++s) {
+        if (snap[s] == key && on_match(candidates[c], loc, s)) return true;
       }
-      if (ring_.count() > 0 && ring_.UpdateValue(key, value)) return true;
-      if (stash_size_.load(std::memory_order_acquire) > 0) {
-        for (size_t i = 0; i < stash_keys_.size(); ++i) {
-          if (gpusim::LoadAcquire(&stash_keys_[i]) == key) {
-            StashStoreValue(i, value);
-            return true;
-          }
-        }
-      }
-      if (ring_.epoch() == epoch) return false;
     }
     return false;
+  }
+
+  /// The stash leg of a probe: when the stash holds anything, runs
+  /// `on_slot(i)` for every slot until one returns true (each caller
+  /// matches the slot's key with the load order its protocol needs).
+  /// Returns true iff one did.  FIND and DELETE count the scan as one
+  /// bucket transaction (`count_read`); the upsert probe does not.
+  template <typename OnSlot>
+  bool ScanStash(bool count_read, OnSlot&& on_slot) const {
+    if (stash_size_.load(std::memory_order_acquire) == 0) return false;
+    if (count_read) gpusim::CountBucketRead();
+    for (size_t i = 0; i < stash_keys_.size(); ++i) {
+      if (on_slot(i)) return true;
+    }
+    return false;
+  }
+
+  /// The epoch-retry contract of every lock-free probe (FIND, DELETE, the
+  /// voter loop's upsert re-probe).  Eviction chains park a victim in the
+  /// ring *before* overwriting its slot and retire it only *after* the
+  /// re-homed copy is published, bumping the displacement epoch first
+  /// each time.  So a probe that comes back empty-handed is final only
+  /// when the epoch did not move across it — the key was then genuinely
+  /// absent when the probe started; otherwise a displacement overlapped
+  /// the probe and it runs again.  `probe` returns true on a hit.
+  template <typename Probe>
+  bool RetryUntilStable(Probe&& probe) const {
+    for (int attempt = 0; attempt < kMaxProbeRetries; ++attempt) {
+      const uint64_t epoch = ring_.epoch();
+      if (probe()) return true;
+      if (ring_.epoch() == epoch) return false;
+    }
+    return false;  // unreachable absent a bug (see kMaxProbeRetries)
+  }
+
+  /// The upsert probe: overwrites the value of `key` wherever it already
+  /// lives outside subtable `skip` — a candidate bucket, then the handoff
+  /// ring (a copy in flight through another chain, whose owner re-reads
+  /// the parked value when it re-homes the pair), then the stash.  Returns
+  /// true on a hit.  Unlocked: concurrent upserts of one key are
+  /// last-writer-wins, and TryUpsertSlotValue's CAS protocol keeps the
+  /// write out of a slot an eviction chain recycled after the snapshot.
+  bool UpdateResident(Key key, Value value, int skip) {
+    if (ProbeCandidates(key, skip, [&](int ti, uint64_t loc, int s) {
+          return TryUpsertSlotValue(tables_[ti], loc, s, key, value);
+        })) {
+      return true;
+    }
+    if (ring_.count() > 0 && ring_.UpdateValue(key, value)) return true;
+    return ScanStash(/*count_read=*/false, [&](size_t i) {
+      if (gpusim::LoadAcquire(&stash_keys_[i]) != key) return false;
+      StashStoreValue(i, value);
+      return true;
+    });
   }
 
   /// One warp's share of a mixed batch: finds and erases execute directly
@@ -2048,9 +1974,9 @@ class DynamicTable {
   void MixedWarp(MixedOp* ops, uint64_t n, uint64_t warp, FailBuffer* fail,
                  std::atomic<uint64_t>* invalid) {
     LaneOp lane_ops[gpusim::kWarpSize];
-    uint64_t local_new = 0, local_updated = 0, local_failed = 0,
-             local_invalid = 0, local_evictions = 0, local_finds = 0,
-             local_find_hits = 0, local_erases = 0, local_erase_hits = 0;
+    InsertTally tally;
+    uint64_t local_finds = 0, local_find_hits = 0, local_erases = 0,
+             local_erase_hits = 0;
 
     const uint64_t base = warp * gpusim::kWarpSize;
     for (int lane = 0; lane < gpusim::kWarpSize; ++lane) {
@@ -2077,25 +2003,20 @@ class DynamicTable {
         }
         case MixedOp::Type::kInsert: {
           if (op.key == kEmptyKey) {
-            ++local_invalid;
+            ++tally.invalid;
             break;
           }
           PrepareInsertLane(op.key, op.value, /*exclude_table=*/-1,
-                            /*check_partner=*/true, &lane_ops[lane],
-                            &local_updated);
+                            /*check_partner=*/true, &lane_ops[lane], &tally);
           break;
         }
       }
     }
 
     RunVoterLoop(lane_ops, /*exclude_table=*/-1, /*check_partner=*/true, fail,
-                 &local_new, &local_updated, &local_failed, &local_evictions);
+                 &tally);
 
-    if (local_new) stats_.inserts_new.fetch_add(local_new, kRelaxed);
-    if (local_updated) stats_.inserts_updated.fetch_add(local_updated, kRelaxed);
-    if (local_failed) stats_.insert_failures.fetch_add(local_failed, kRelaxed);
-    if (local_evictions) stats_.evictions.fetch_add(local_evictions, kRelaxed);
-    if (local_invalid) invalid->fetch_add(local_invalid, kRelaxed);
+    FlushInsertTally(tally, invalid);
     if (local_finds) stats_.finds.fetch_add(local_finds, kRelaxed);
     if (local_find_hits) stats_.find_hits.fetch_add(local_find_hits, kRelaxed);
     if (local_erases) stats_.erases.fetch_add(local_erases, kRelaxed);
@@ -2129,38 +2050,23 @@ class DynamicTable {
     if (local_hits) stats_.find_hits.fetch_add(local_hits, kRelaxed);
   }
 
-  /// One lookup over the key's candidate buckets (≤2 in two-layer mode),
-  /// then the displaced-victim handoff ring, then the stash.
-  ///
-  /// Linearizable against concurrent eviction chains: a chain parks its
-  /// victim in the ring *before* overwriting the slot and retires it only
-  /// *after* the re-homed copy is published, and both transitions bump the
-  /// displacement epoch first.  So if this probe misses everywhere and the
-  /// epoch did not change across the whole probe, the key was genuinely
-  /// absent at the instant the probe started; otherwise a displacement
-  /// overlapped the probe and it retries.  Bucket hits re-validate the key
-  /// after reading the value (the overwrite unpublishes the old key before
-  /// writing the incoming pair), ruling out torn (key, value) results.
+  /// One lookup: the key's candidate buckets (≤2 in two-layer mode), then
+  /// the displaced-victim handoff ring, then the stash, under the
+  /// epoch-retry contract — linearizable against concurrent eviction
+  /// chains.  Hits re-validate the key after reading the value (the
+  /// overwrite unpublishes the old key before writing the incoming pair),
+  /// ruling out torn (key, value) results.
   bool FindOneInternal(Key k, Value* v) const {
     if (k == kEmptyKey) return false;
-    int candidates[16];
-    int n_cand = CandidateTables(k, candidates);
-    for (int attempt = 0; attempt < kMaxProbeRetries; ++attempt) {
-      const uint64_t epoch = ring_.epoch();
-      for (int c = 0; c < n_cand; ++c) {
-        const SubtableT& t = tables_[candidates[c]];
-        uint64_t loc = t.BucketIndex(k);
-        gpusim::CountBucketRead();
-        Key snap[kSlots];
-        t.SnapshotKeys(loc, snap);
-        for (int s = 0; s < kSlots; ++s) {
-          if (snap[s] != k) continue;
-          Value val = t.ValueAt(loc, s);
-          if (t.KeyAtAcquire(loc, s) == k) {
+    return RetryUntilStable([&] {
+      if (ProbeCandidates(k, /*skip=*/-1, [&](int ti, uint64_t loc, int s) {
+            const SubtableT& t = tables_[ti];
+            Value val = t.ValueAt(loc, s);
+            if (t.KeyAtAcquire(loc, s) != k) return false;
             *v = val;
             return true;
-          }
-        }
+          })) {
+        return true;
       }
       if (ring_.count() > 0) {
         gpusim::CountBucketRead();
@@ -2169,20 +2075,14 @@ class DynamicTable {
           return true;
         }
       }
-      if (stash_size_.load(std::memory_order_acquire) > 0) {
-        gpusim::CountBucketRead();
-        for (size_t i = 0; i < stash_keys_.size(); ++i) {
-          if (gpusim::LoadAcquire(&stash_keys_[i]) != k) continue;
-          Value val = gpusim::Load(&stash_values_[i]);
-          if (gpusim::Load(&stash_keys_[i]) == k) {
-            *v = val;
-            return true;
-          }
-        }
-      }
-      if (ring_.epoch() == epoch) return false;
-    }
-    return false;  // unreachable absent a bug (see kMaxProbeRetries)
+      return ScanStash(/*count_read=*/true, [&](size_t i) {
+        if (gpusim::LoadAcquire(&stash_keys_[i]) != k) return false;
+        Value val = gpusim::Load(&stash_values_[i]);
+        if (gpusim::Load(&stash_keys_[i]) != k) return false;
+        *v = val;
+        return true;
+      });
+    });
   }
 
   /// XORs one bit of a trivially-copyable word (test corruption planting).
@@ -2369,52 +2269,39 @@ class DynamicTable {
     if (local_hits) stats_.erase_hits.fetch_add(local_hits, kRelaxed);
   }
 
-  /// One delete over the key's candidate buckets; returns slots released
-  /// (more than one only if a racy duplicate existed).  `except_table`
-  /// shields one subtable from the delete (downsize rollback: the old
-  /// subtable keeps its copy while duplicates elsewhere are removed).
+  /// One delete over the key's candidate buckets, the stash, and — only
+  /// when nothing was released — the handoff ring, under the epoch-retry
+  /// contract; returns slots released (more than one only if a racy
+  /// duplicate existed).  A key in flight through an eviction chain is
+  /// claimed from the ring: the claim linearizes the delete and the owning
+  /// chain undoes its placement when it discovers the claim at retire
+  /// time.  `except_table` shields one subtable from the delete (downsize
+  /// rollback: the old subtable keeps its copy while duplicates elsewhere
+  /// are removed).
   uint64_t EraseOneInternal(Key k, int except_table = -1) {
     if (k == kEmptyKey) return 0;
     uint64_t released = 0;
-    int candidates[16];
-    int n_cand = CandidateTables(k, candidates);
-    // Same epoch-retry contract as FindOneInternal: a miss is only final
-    // when no displacement overlapped the probe.  A key in flight through
-    // an eviction chain is claimed from the handoff ring instead — the
-    // claim linearizes the delete and the owning chain undoes its
-    // placement when it discovers the claim at retire time.
-    for (int attempt = 0; attempt < kMaxProbeRetries; ++attempt) {
-      const uint64_t epoch = ring_.epoch();
-      for (int c = 0; c < n_cand; ++c) {
-        if (candidates[c] == except_table) continue;
-        SubtableT& t = tables_[candidates[c]];
-        uint64_t loc = t.BucketIndex(k);
-        gpusim::CountBucketRead();
-        Key snap[kSlots];
-        t.SnapshotKeys(loc, snap);
-        for (int s = 0; s < kSlots; ++s) {
-          if (snap[s] == k) {
-            if (t.CasKey(loc, s, k, kEmptyKey)) {
-              t.AddSize(-1);
-              ++released;
-            }
-          }
+    RetryUntilStable([&] {
+      ProbeCandidates(k, except_table, [&](int ti, uint64_t loc, int s) {
+        SubtableT& t = tables_[ti];
+        if (t.CasKey(loc, s, k, kEmptyKey)) {
+          t.AddSize(-1);
+          ++released;
         }
-      }
-      if (stash_size_.load(std::memory_order_acquire) > 0) {
-        gpusim::CountBucketRead();
-        for (size_t i = 0; i < stash_keys_.size(); ++i) {
-          if (gpusim::Load(&stash_keys_[i]) == k && StashRemoveAt(i, k)) {
-            ++released;
-          }
+        return false;  // release every copy
+      });
+      ScanStash(/*count_read=*/true, [&](size_t i) {
+        if (gpusim::Load(&stash_keys_[i]) == k && StashRemoveAt(i, k)) {
+          ++released;
         }
-      }
+        return false;  // release every copy
+      });
       if (released == 0 && ring_.count() > 0 && ring_.TryClaimForDelete(k)) {
         stats_.handoff_deletes.fetch_add(1, kRelaxed);
         ++released;
       }
-      if (released > 0 || ring_.epoch() == epoch) break;
-    }
+      return released > 0;
+    });
     return released;
   }
 

@@ -74,6 +74,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -417,38 +418,11 @@ class TableServer {
       // flush ONCE for the whole micro-batch, before any ack is released.
       Status commit = LogAndCommitWrites(runnable);
       if (crashed()) return completed;  // simulated death: acks never leave
-      uint64_t cursor = 0;
+      const MixedOp* results = ops.data();
       for (Pending& p : runnable) {
-        const bool write = HasWrite(p.request);
-        Response resp;
-        if (write && !commit.ok()) {
-          // The ops are applied but the flush failed cleanly: the write is
-          // live yet not durable, and honesty demands saying so.
-          resp.status = Status::DataLoss("write applied but not durable: " +
-                                         commit.message());
-        } else {
-          resp.status = Status::OK();
-        }
-        resp.attempts = 1;
-        resp.results.resize(p.request.ops.size());
-        for (size_t i = 0; i < p.request.ops.size(); ++i, ++cursor) {
-          resp.results[i].hit = ops[cursor].hit;
-          resp.results[i].value = ops[cursor].value;
-        }
-        resp.completed_at = clock_->Now();
-        if (write) {
-          if (resp.status.ok()) {
-            breaker_.OnWriteSuccess();
-          } else {
-            breaker_.OnWriteFailure(clock_->Now());
-          }
-        }
-        if (resp.status.ok()) {
-          stats_.completed_ok.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          stats_.completed_error.fetch_add(1, std::memory_order_relaxed);
-        }
-        Complete(p.id, std::move(resp));
+        Respond(p, HasWrite(p.request) ? commit : Status::OK(),
+                /*attempts=*/1, results);
+        results += p.request.ops.size();
         ++completed;
       }
       return completed;
@@ -469,8 +443,10 @@ class TableServer {
 
   /// Appends one WAL record per write op across the batch's successful
   /// requests, then flushes them with a single group commit.  OK when no
-  /// durability manager is attached.
-  Status LogAndCommitWrites(const std::vector<Pending>& runnable) {
+  /// durability manager is attached; a failed flush comes back as the
+  /// DataLoss every write of the batch is answered with (the ops are
+  /// applied but not durable, and honesty demands saying so).
+  Status LogAndCommitWrites(std::span<const Pending> runnable) {
     if (durability_ == nullptr) return Status::OK();
     for (const Pending& p : runnable) {
       for (const Op& op : p.request.ops) {
@@ -481,7 +457,36 @@ class TableServer {
         }
       }
     }
-    return durability_->Commit();
+    Status commit = durability_->Commit();
+    if (commit.ok()) return commit;
+    return Status::DataLoss("write applied but not durable: " +
+                            commit.message());
+  }
+
+  /// Completes an executed request with `status`: copies its op results
+  /// out of `results` (its ops, in order), feeds a write's outcome to the
+  /// breaker, and counts the completion.
+  void Respond(const Pending& p, Status status, uint32_t attempts,
+               const MixedOp* results) {
+    Response resp;
+    resp.status = std::move(status);
+    resp.attempts = attempts;
+    resp.results.resize(p.request.ops.size());
+    for (size_t i = 0; i < resp.results.size(); ++i) {
+      resp.results[i].hit = results[i].hit;
+      resp.results[i].value = results[i].value;
+    }
+    resp.completed_at = clock_->Now();
+    if (HasWrite(p.request)) {
+      if (resp.status.ok()) {
+        breaker_.OnWriteSuccess();
+      } else {
+        breaker_.OnWriteFailure(clock_->Now());
+      }
+    }
+    (resp.status.ok() ? stats_.completed_ok : stats_.completed_error)
+        .fetch_add(1, std::memory_order_relaxed);
+    Complete(p.id, std::move(resp));
   }
 
   /// Runs one request's ops alone, retrying per policy while the deadline
@@ -532,44 +537,11 @@ class TableServer {
     // Only an OK execution is acknowledged as applied, so only OK writes
     // enter the WAL (non-OK partial applications are "uncertain" by the
     // side-effect contract; checkpoints still capture whatever stuck).
-    if (st.ok() && has_write && durability_ != nullptr) {
-      for (const Op& op : p->request.ops) {
-        if (op.type == OpType::kInsert) {
-          durability_->LogInsert(op.key, op.value);
-        } else if (op.type == OpType::kErase) {
-          durability_->LogErase(op.key);
-        }
-      }
-      Status commit = durability_->Commit();
+    if (st.ok() && has_write) {
+      st = LogAndCommitWrites(std::span<const Pending>(p, 1));
       if (crashed()) return;  // simulated death: the ack never leaves
-      if (!commit.ok()) {
-        st = Status::DataLoss("write applied but not durable: " +
-                              commit.message());
-      }
     }
-
-    Response resp;
-    resp.status = st;
-    resp.attempts = attempts;
-    resp.completed_at = clock_->Now();
-    resp.results.resize(ops.size());
-    for (size_t i = 0; i < ops.size(); ++i) {
-      resp.results[i].hit = ops[i].hit;
-      resp.results[i].value = ops[i].value;
-    }
-    if (has_write) {
-      if (st.ok()) {
-        breaker_.OnWriteSuccess();
-      } else {
-        breaker_.OnWriteFailure(clock_->Now());
-      }
-    }
-    if (st.ok()) {
-      stats_.completed_ok.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      stats_.completed_error.fetch_add(1, std::memory_order_relaxed);
-    }
-    Complete(p->id, std::move(resp));
+    Respond(*p, std::move(st), attempts, ops.data());
   }
 
   /// One bounded scrub slice between batches.

@@ -3,6 +3,7 @@
 // intact.
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -30,7 +31,28 @@ TEST(OomTest, CreateFailsCleanlyInTinyArena) {
   EXPECT_EQ(arena.used_bytes(), 0u) << "partial construction must roll back";
 }
 
-TEST(OomTest, GrowthStopsWithOutOfMemoryAndTableStaysConsistent) {
+/// The two write entry points, BulkInsert and an all-insert BulkExecute,
+/// must both run a batch degraded when the arena cannot grow.
+enum class WritePath { kBulkInsert, kBulkExecute };
+
+class OomGrowthTest : public ::testing::TestWithParam<WritePath> {
+ protected:
+  Status Write(DyCuckooMap* t, std::span<const uint32_t> keys,
+               std::span<const uint32_t> values) {
+    if (GetParam() == WritePath::kBulkInsert) {
+      return t->BulkInsert(keys, values);
+    }
+    std::vector<DyCuckooMap::MixedOp> ops(keys.size());
+    for (size_t i = 0; i < ops.size(); ++i) {
+      ops[i].type = DyCuckooMap::MixedOp::Type::kInsert;
+      ops[i].key = keys[i];
+      ops[i].value = values[i];
+    }
+    return t->BulkExecute(ops);
+  }
+};
+
+TEST_P(OomGrowthTest, GrowthStopsWithOutOfMemoryAndTableStaysConsistent) {
   gpusim::DeviceArena arena(1 << 20);  // 1 MiB: a few growth steps only
   DyCuckooOptions o;
   o.initial_capacity = 1024;
@@ -44,8 +66,8 @@ TEST(OomTest, GrowthStopsWithOutOfMemoryAndTableStaysConsistent) {
   size_t inserted_until = 0;
   for (size_t off = 0; off < keys.size(); off += 10000) {
     size_t len = std::min<size_t>(10000, keys.size() - off);
-    st = t->BulkInsert(std::span<const uint32_t>(keys.data() + off, len),
-                       std::span<const uint32_t>(values.data() + off, len));
+    st = Write(t.get(), std::span<const uint32_t>(keys.data() + off, len),
+               std::span<const uint32_t>(values.data() + off, len));
     if (!st.ok()) break;
     inserted_until = off + len;
   }
@@ -76,6 +98,14 @@ TEST(OomTest, GrowthStopsWithOutOfMemoryAndTableStaysConsistent) {
   EXPECT_EQ(t->size(), 0u);
   ASSERT_TRUE(t->Insert(1, 2).ok());
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    WritePaths, OomGrowthTest,
+    ::testing::Values(WritePath::kBulkInsert, WritePath::kBulkExecute),
+    [](const ::testing::TestParamInfo<WritePath>& info) {
+      return info.param == WritePath::kBulkInsert ? "BulkInsert"
+                                                  : "BulkExecute";
+    });
 
 TEST(OomTest, MegaKvRehashOomRestoresOldTable) {
   gpusim::DeviceArena arena(600 * 1024);

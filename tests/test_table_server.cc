@@ -60,7 +60,11 @@ TEST(TableServerTest, InsertThenFindRoundTrip) {
   auto keys = testing::UniqueKeys(500);
   auto values = testing::SequentialValues(keys.size(), 100);
 
+  // Drain the INSERT before submitting the FIND: a FIND coalesced into the
+  // same micro-batch as an INSERT of its keys may see either side (see the
+  // consistency contract in table_server.h).
   uint64_t w = server->Submit(InsertReq(keys, values));
+  server->RunUntilIdle();
   uint64_t r = server->Submit(FindReq(keys));
   server->RunUntilIdle();
 

@@ -84,6 +84,41 @@ TEST_P(TwoLayerProbeTest, EraseReadsAtMostTwoBucketsPerKey) {
   EXPECT_EQ(delta.bucket_reads, 2 * keys.size());
 }
 
+TEST_P(TwoLayerProbeTest, UpdateOnlyBatchReadsAtMostTwoBucketsPerKey) {
+  const int d = GetParam();
+  DyCuckooOptions o;
+  o.num_subtables = d;
+  o.auto_resize = false;  // keep the counters free of resize traffic
+  gpusim::Grid grid(1);
+  o.grid = &grid;
+  std::unique_ptr<DyCuckooMap> t;
+  ASSERT_TRUE(DyCuckooMap::Create(o, &t).ok());
+  auto keys = UniqueKeys(10000, d + 200);
+  ASSERT_TRUE(t->BulkInsert(keys, SequentialValues(keys.size())).ok());
+
+  // Re-upsert every resident key with a new value: each one is found by
+  // the upsert probe (partner bucket, then its target bucket), so the
+  // batch updates in place and never evicts.
+  std::vector<uint32_t> fresh(keys.size());
+  for (size_t i = 0; i < fresh.size(); ++i) fresh[i] = 7 * i + 3;
+  auto stats_before = t->stats().Capture();
+  auto before = gpusim::SimCounters::Get().Capture();
+  ASSERT_TRUE(t->BulkInsert(keys, fresh).ok());
+  auto delta = gpusim::SimCounters::Get().Capture() - before;
+  auto stats_delta = t->stats().Capture() - stats_before;
+
+  EXPECT_EQ(stats_delta.inserts_updated, keys.size());
+  EXPECT_EQ(stats_delta.inserts_new, 0u);
+  EXPECT_EQ(delta.evictions, 0u);
+  EXPECT_EQ(delta.lock_conflicts, 0u);
+  EXPECT_GE(delta.bucket_reads, keys.size());
+  EXPECT_LE(delta.bucket_reads, 2 * keys.size())
+      << "two-layer bound violated by the upsert probe at d=" << d;
+  std::vector<uint32_t> out(keys.size());
+  t->BulkFind(keys, out.data(), nullptr);
+  EXPECT_EQ(out, fresh);
+}
+
 INSTANTIATE_TEST_SUITE_P(SubtableCounts, TwoLayerProbeTest,
                          ::testing::Values(2, 3, 4, 6, 8));
 
