@@ -13,8 +13,9 @@
 //   - one `std::atomic<uint64_t> NAME{0};` member per entry, and nothing
 //     else, so the list fixes the layout;
 //   - `struct Snapshot` with one `uint64_t NAME = 0;` field per entry,
-//     `operator-` (field-wise delta for before/after diffs) and
-//     `ToString()`, which prints `NAME=value` pairs separated by spaces;
+//     `operator-` (field-wise delta for before/after diffs), `operator+=`
+//     (field-wise sum, for views over several blocks) and `ToString()`,
+//     which prints `NAME=value` pairs separated by spaces;
 //   - `Snapshot Capture() const` (relaxed loads: each field is exact, the
 //     set is coherent only when writers are quiescent) and `void Reset()`.
 //
@@ -42,6 +43,7 @@ using Counter = std::atomic<uint64_t>;
 #define DYCUCKOO_COUNTER_MEMBER_(name) ::dycuckoo::Counter name{0};
 #define DYCUCKOO_COUNTER_FIELD_(name) uint64_t name = 0;
 #define DYCUCKOO_COUNTER_DIFF_(name) delta.name = this->name - rhs.name;
+#define DYCUCKOO_COUNTER_SUM_(name) this->name += rhs.name;
 #define DYCUCKOO_COUNTER_PRINT_(name)                 \
   text += text.empty() ? #name "=" : " " #name "="; \
   text += std::to_string(this->name);
@@ -58,6 +60,10 @@ using Counter = std::atomic<uint64_t>;
       Snapshot delta;                               \
       LIST(DYCUCKOO_COUNTER_DIFF_)                  \
       return delta;                                 \
+    }                                               \
+    Snapshot& operator+=(const Snapshot& rhs) {     \
+      LIST(DYCUCKOO_COUNTER_SUM_)                   \
+      return *this;                                 \
     }                                               \
     std::string ToString() const {                  \
       std::string text;                             \

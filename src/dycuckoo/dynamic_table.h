@@ -176,6 +176,7 @@ class DynamicTable {
         inserts,
         [&](FailBuffer* fail) {
           std::atomic<uint64_t> invalid{0};
+          SnapshotTargetWeights();
           grid_->LaunchWarps(gpusim::WarpsForItems(ops.size()),
                              [&](uint64_t warp) {
                                MixedWarp(ops.data(), ops.size(), warp, fail,
@@ -1284,17 +1285,29 @@ class DynamicTable {
            (1.0 / 9007199254740992.0);
   }
 
+  /// Freezes ChooseTarget's weights for the next insert-capable launch.
+  /// Live weights move as lanes publish, so two lanes inserting one key
+  /// could pick different subtables of its pair and each miss the other's
+  /// unpublished copy (a duplicate).  Frozen weights send both to the same
+  /// bucket, where the bucket lock and the match-slot path collapse them.
+  void SnapshotTargetWeights() {
+    target_weights_.resize(tables_.size());
+    for (int t = 0; t < num_subtables(); ++t) {
+      target_weights_[t] = options_.enable_balance ? BalanceWeight(t) : 1.0;
+    }
+  }
+
   /// Chooses the initial target subtable.  Two-layer mode picks inside the
   /// key's pair; plain mode (ablation) picks among all d subtables.
   /// Excluded tables are skipped (downsize residuals); with balance enabled
-  /// the choice is proportional to the Theorem-1 weights, deterministically
-  /// seeded by the key.
+  /// the choice is proportional to the Theorem-1 weights as of the launch
+  /// (SnapshotTargetWeights), deterministically seeded by the key.
   int ChooseTarget(Key key, const TablePair& pair, int exclude_table) const {
     if (options_.enable_two_layer) {
       if (exclude_table == pair.first) return pair.second;
       if (exclude_table == pair.second) return pair.first;
-      double wi = options_.enable_balance ? BalanceWeight(pair.first) : 1.0;
-      double wj = options_.enable_balance ? BalanceWeight(pair.second) : 1.0;
+      double wi = target_weights_[pair.first];
+      double wj = target_weights_[pair.second];
       double p = wi / (wi + wj);
       return KeyUniform(key) < p ? pair.first : pair.second;
     }
@@ -1302,12 +1315,12 @@ class DynamicTable {
     double total = 0.0;
     for (int t = 0; t < num_subtables(); ++t) {
       if (t == exclude_table) continue;
-      total += options_.enable_balance ? BalanceWeight(t) : 1.0;
+      total += target_weights_[t];
     }
     double r = KeyUniform(key) * total;
     for (int t = 0; t < num_subtables(); ++t) {
       if (t == exclude_table) continue;
-      double w = options_.enable_balance ? BalanceWeight(t) : 1.0;
+      double w = target_weights_[t];
       if (r < w) return t;
       r -= w;
     }
@@ -1470,6 +1483,7 @@ class DynamicTable {
                         int exclude_table, bool check_partner,
                         FailBuffer* fail) {
     std::atomic<uint64_t> invalid{0};
+    SnapshotTargetWeights();
     grid_->LaunchWarps(gpusim::WarpsForItems(n), [&](uint64_t warp) {
       InsertWarp(keys, values, n, warp, exclude_table, check_partner, fail,
                  &invalid);
@@ -1530,6 +1544,7 @@ class DynamicTable {
     uint64_t updated = 0;
     uint64_t failed = 0;
     uint64_t evicted = 0;
+    uint64_t parked = 0;   ///< victims parked in the handoff ring
     uint64_t invalid = 0;  ///< reserved-sentinel keys skipped
   };
 
@@ -1541,6 +1556,7 @@ class DynamicTable {
     }
     if (tally.failed) stats_.insert_failures.fetch_add(tally.failed, kRelaxed);
     if (tally.evicted) stats_.evictions.fetch_add(tally.evicted, kRelaxed);
+    if (tally.parked) stats_.parked_victims.fetch_add(tally.parked, kRelaxed);
     if (tally.invalid) invalid->fetch_add(tally.invalid, kRelaxed);
   }
 
@@ -1753,7 +1769,7 @@ class DynamicTable {
           end_failed();
           continue;
         }
-        stats_.parked_victims.fetch_add(1, kRelaxed);
+        ++tally->parked;
         // Unpublish the victim's key before the overwrite so no reader can
         // pair vk with the incoming value mid-swap; the parked copy keeps
         // vk findable through the empty window.  DELETE is lock-free, so
@@ -2534,6 +2550,9 @@ class DynamicTable {
   PairMap pair_map_;
   uint64_t choice_salt_ = 0;
   std::vector<SubtableT> tables_;
+  // ChooseTarget's per-subtable weights, frozen for one insert-capable
+  // launch (SnapshotTargetWeights).
+  std::vector<double> target_weights_;
   // Overflow stash (options_.stash_capacity entries; empty when disabled).
   // stash_state_ serializes writers per slot (claim -> publish -> reclaim);
   // readers validate purely through the key word and never touch it.

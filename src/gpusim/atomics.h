@@ -7,7 +7,8 @@
 //       *address = (old == compare) ? val : old;  return old;
 //   atomicExch(address, val): old = *address; *address = val; return old;
 //
-// All atomics are optionally instrumented through SimCounters so the bench
+// Every CAS and exchange is counted in the calling thread's SimCounters
+// block (a plain owner-only increment, no extra atomic RMW), so the bench
 // harness can reproduce the paper's Figure 5 (atomic throughput collapse
 // under conflicts) and count lock conflicts in the voter scheme.
 //
@@ -40,10 +41,7 @@ inline uint32_t AtomicCas(std::atomic<uint32_t>* address, uint32_t compare,
   bool won =
       address->compare_exchange_strong(expected, val, std::memory_order_acq_rel,
                                        std::memory_order_acquire);
-  SimCounters::Get().atomic_cas.fetch_add(1, std::memory_order_relaxed);
-  if (!won) {
-    SimCounters::Get().atomic_cas_failed.fetch_add(1, std::memory_order_relaxed);
-  }
+  CountCas(won);
   if (rc != nullptr) rc->OnAtomicAcquire(address, sizeof(uint32_t));
   return won ? compare : expected;
 }
@@ -52,7 +50,7 @@ inline uint32_t AtomicCas(std::atomic<uint32_t>* address, uint32_t compare,
 inline uint32_t AtomicExch(std::atomic<uint32_t>* address, uint32_t val) {
   RaceCheck* rc = RaceCheck::Active();
   if (rc != nullptr) rc->OnAtomicRelease(address);
-  SimCounters::Get().atomic_exch.fetch_add(1, std::memory_order_relaxed);
+  CountExch();
   uint32_t old = address->exchange(val, std::memory_order_acq_rel);
   if (rc != nullptr) rc->OnAtomicAcquire(address, sizeof(uint32_t));
   return old;
@@ -67,10 +65,7 @@ inline uint64_t AtomicCas64(std::atomic<uint64_t>* address, uint64_t compare,
   bool won =
       address->compare_exchange_strong(expected, val, std::memory_order_acq_rel,
                                        std::memory_order_acquire);
-  SimCounters::Get().atomic_cas.fetch_add(1, std::memory_order_relaxed);
-  if (!won) {
-    SimCounters::Get().atomic_cas_failed.fetch_add(1, std::memory_order_relaxed);
-  }
+  CountCas(won);
   if (rc != nullptr) rc->OnAtomicAcquire(address, sizeof(uint64_t));
   return won ? compare : expected;
 }
@@ -79,7 +74,7 @@ inline uint64_t AtomicCas64(std::atomic<uint64_t>* address, uint64_t compare,
 inline uint64_t AtomicExch64(std::atomic<uint64_t>* address, uint64_t val) {
   RaceCheck* rc = RaceCheck::Active();
   if (rc != nullptr) rc->OnAtomicRelease(address);
-  SimCounters::Get().atomic_exch.fetch_add(1, std::memory_order_relaxed);
+  CountExch();
   uint64_t old = address->exchange(val, std::memory_order_acq_rel);
   if (rc != nullptr) rc->OnAtomicAcquire(address, sizeof(uint64_t));
   return old;
@@ -105,10 +100,7 @@ inline bool AtomicCasWord(std::atomic<T>* address, T expected, T desired) {
   bool won = address->compare_exchange_strong(expected, desired,
                                               std::memory_order_acq_rel,
                                               std::memory_order_acquire);
-  SimCounters::Get().atomic_cas.fetch_add(1, std::memory_order_relaxed);
-  if (!won) {
-    SimCounters::Get().atomic_cas_failed.fetch_add(1, std::memory_order_relaxed);
-  }
+  CountCas(won);
   if (rc != nullptr) rc->OnAtomicAcquire(address, sizeof(T));
   return won;
 }
@@ -124,7 +116,7 @@ inline T AtomicExchWord(std::atomic<T>* address, T val) {
   static_assert(sizeof(T) <= 8, "exchange operand wider than a device word");
   RaceCheck* rc = RaceCheck::Active();
   if (rc != nullptr) rc->OnAtomicRelease(address);
-  SimCounters::Get().atomic_exch.fetch_add(1, std::memory_order_relaxed);
+  CountExch();
   T old = address->exchange(val, std::memory_order_acq_rel);
   if (rc != nullptr) rc->OnAtomicAcquire(address, sizeof(T));
   return old;
@@ -147,8 +139,7 @@ class BucketLock {
   bool TryLock() {
     if (FaultInjector* injector = FaultInjector::Active()) {
       if (injector->OnTryLock()) {
-        SimCounters::Get().lock_conflicts.fetch_add(1,
-                                                    std::memory_order_relaxed);
+        CountLockConflict();
         return false;
       }
     }

@@ -8,7 +8,7 @@
 // reproducibly: all decisions derive from Mix64(seed ^ event-counter), so
 // a given (config, op sequence) always injects the same faults.
 //
-// The injector is installed process-globally (mirroring SimCounters) so
+// The injector is installed process-globally (like a RaceCheck session) so
 // the deepest substrate primitives — BucketLock::TryLock has no context
 // pointer — can consult it without plumbing.  Use the RAII helper:
 //

@@ -83,7 +83,9 @@ TEST_P(ConfigMatrixTest, DifferentialChurn) {
   for (size_t i = 0; i < universe.size(); ++i) {
     auto it = model.find(universe[i]);
     ASSERT_EQ(found[i] != 0, it != model.end());
-    if (found[i]) ASSERT_EQ(out[i], it->second);
+    if (found[i]) {
+      ASSERT_EQ(out[i], it->second);
+    }
   }
 }
 

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "dycuckoo/dycuckoo.h"
 #include "gpusim/device_arena.h"
+#include "gpusim/grid.h"
 #include "test_util.h"
 
 namespace dycuckoo {
@@ -251,7 +253,9 @@ TEST(DynamicTableTest, ModelBasedRandomOperations) {
     uint32_t expect_v = 0;
     bool expect_hit = model.Find(universe[i], &expect_v);
     ASSERT_EQ(found[i] != 0, expect_hit) << "key " << universe[i];
-    if (expect_hit) ASSERT_EQ(out[i], expect_v);
+    if (expect_hit) {
+      ASSERT_EQ(out[i], expect_v);
+    }
   }
 }
 
@@ -419,6 +423,53 @@ TEST(DynamicTableTest, SixtyFourBitTable) {
     ASSERT_EQ(out[i], values[i]);
   }
   EXPECT_TRUE(t->Validate().ok());
+}
+
+// Batches that insert every key twice store each key once.  A key's two
+// copies sit in adjacent lanes of one warp, so the other workers' inserts
+// move the balance weights between the two lanes' prepare steps; both
+// lanes must still target the same bucket, where the lock and the match
+// slot collapse them.  Small, fresh tables make those moves large.
+TEST(DynamicTableTest, KeysInsertedTwiceInOneBatchAreStoredOnce) {
+  constexpr int kTables = 40;
+  constexpr int kRounds = 8;
+  constexpr size_t kKeysPerRound = 2048;
+  gpusim::Grid grid(3);
+  DyCuckooOptions o;
+  o.grid = &grid;
+  o.initial_capacity = 2048;
+  const auto universe = UniqueKeys(kRounds * kKeysPerRound, 5);
+  for (int table = 0; table < kTables; ++table) {
+    o.seed = table;
+    auto t = MakeTable(o);
+    for (int round = 0; round < kRounds; ++round) {
+      SCOPED_TRACE("table " + std::to_string(table) + " round " +
+                   std::to_string(round));
+      std::vector<uint32_t> keys;
+      std::vector<uint32_t> values;
+      std::vector<DyCuckooMap::MixedOp> ops;
+      for (size_t i = 0; i < kKeysPerRound; ++i) {
+        const uint32_t k = universe[round * kKeysPerRound + i];
+        for (uint32_t copy = 0; copy < 2; ++copy) {
+          keys.push_back(k);
+          values.push_back(2 * static_cast<uint32_t>(i) + copy);
+          DyCuckooMap::MixedOp op;
+          op.type = DyCuckooMap::MixedOp::Type::kInsert;
+          op.key = k;
+          op.value = values.back();
+          ops.push_back(op);
+        }
+      }
+      if (round % 2 == 0) {
+        ASSERT_TRUE(t->BulkInsert(keys, values).ok());
+      } else {
+        ASSERT_TRUE(t->BulkExecute(ops).ok());
+      }
+      ASSERT_EQ(t->size(), (round + 1) * kKeysPerRound);
+      const Status valid = t->Validate();
+      ASSERT_TRUE(valid.ok()) << valid.ToString();
+    }
+  }
 }
 
 class DynamicTableSubtableCountTest : public ::testing::TestWithParam<int> {};

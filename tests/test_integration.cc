@@ -89,7 +89,9 @@ void RunDifferential(HashTableInterface* table,
       auto it = model.find(b.find_keys[i]);
       ASSERT_EQ(found[i] != 0, it != model.end())
           << table->name() << " find mismatch batch " << bi;
-      if (found[i]) ASSERT_EQ(out[i], it->second);
+      if (found[i]) {
+        ASSERT_EQ(out[i], it->second);
+      }
     }
     uint64_t erased = 0;
     ASSERT_TRUE(table->BulkErase(b.delete_keys, &erased).ok());

@@ -172,7 +172,9 @@ TEST(MegaKvTest, ModelBasedChurn) {
     uint32_t mv = 0;
     bool hit = model.Find(universe[i], &mv);
     ASSERT_EQ(found[i] != 0, hit);
-    if (hit) ASSERT_EQ(out[i], mv);
+    if (hit) {
+      ASSERT_EQ(out[i], mv);
+    }
   }
 }
 

@@ -85,7 +85,9 @@ TEST_P(PropertyTest, RandomOpsWithForcedResizesMatchModel) {
   for (size_t i = 0; i < universe.size(); ++i) {
     auto it = model.find(universe[i]);
     ASSERT_EQ(found[i] != 0, it != model.end()) << universe[i];
-    if (found[i]) ASSERT_EQ(out[i], it->second);
+    if (found[i]) {
+      ASSERT_EQ(out[i], it->second);
+    }
   }
 }
 
@@ -158,7 +160,9 @@ TEST_P(PropertyTest, MixedBatchesMatchModelAcrossBatches) {
       const Op& op = ops[find_expect[i].first];
       ASSERT_EQ(op.hit != 0, expect[i].first)
           << "seed " << seed << " round " << round;
-      if (op.hit) ASSERT_EQ(op.value, expect[i].second);
+      if (op.hit) {
+        ASSERT_EQ(op.value, expect[i].second);
+      }
     }
     ASSERT_EQ(t->size(), model.size()) << "seed " << seed << " round "
                                        << round;

@@ -63,7 +63,9 @@ TEST(StatusTest, EveryFactoryMatchesItsCodeExactly) {
                c.status.IsDeadlineExceeded() + c.status.IsResourceExhausted() +
                c.status.IsUnavailable() + c.status.IsDataLoss();
     EXPECT_EQ(hits, c.status.ok() ? 0 : 1) << c.status.ToString();
-    if (!c.status.ok()) EXPECT_EQ(c.status.message(), "m");
+    if (!c.status.ok()) {
+      EXPECT_EQ(c.status.message(), "m");
+    }
   }
 }
 
