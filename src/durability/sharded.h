@@ -19,7 +19,8 @@
 // scattering data.
 //
 // Parallel recovery: each shard's (checkpoint, WAL) pair is independent,
-// so RecoverAllShards replays them on a bounded thread pool.  Each
+// so RecoverAllShards replays them on a bounded thread pool; it is the
+// engine behind the one restart path, RecoverShardedDeployment.  Each
 // shard's recovery is single-threaded internally and touches no shared
 // mutable state, so per-shard reports are bit-identical to a serial
 // replay — parallelism changes wall-clock, never outcomes.
@@ -30,7 +31,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -200,8 +200,8 @@ struct ShardImages {
 
 /// The result of recovering one shard.  `status` is per shard: one
 /// poisoned segment yields one failed outcome while every other shard
-/// recovers — the caller (ShardedTableServer::AdoptRecovered) quarantines
-/// exactly the failed shards.
+/// recovers — the caller (ShardedTableServer::AdoptRecoveredSharded)
+/// quarantines exactly the failed shards.
 template <typename Key, typename Value>
 struct ShardRecoveryOutcome {
   uint32_t shard_id = 0;
@@ -232,8 +232,6 @@ std::vector<ShardRecoveryOutcome<Key, Value>> RecoverAllShards(
   auto recover_one = [&](uint32_t shard) {
     ShardRecoveryOutcome<Key, Value>& o = outcomes[shard];
     o.shard_id = shard;
-    std::istringstream ckpt(images[shard].checkpoint);
-    std::istringstream wal(images[shard].wal);
     RecoverySource source;
     if (sources != nullptr) {
       source = (*sources)[shard];
@@ -241,8 +239,9 @@ std::vector<ShardRecoveryOutcome<Key, Value>> RecoverAllShards(
       source.shard_id = shard;
       source.segment = WalSegmentName(shard, n);
     }
-    o.status = Recover<Key, Value>(ckpt, wal, options[shard], &o.table,
-                                   &o.report, source);
+    o.status = Recover<Key, Value>(images[shard].checkpoint,
+                                   images[shard].wal, options[shard],
+                                   &o.table, &o.report, source);
   };
 
   if (workers <= 1) {
@@ -263,29 +262,6 @@ std::vector<ShardRecoveryOutcome<Key, Value>> RecoverAllShards(
   return outcomes;
 }
 
-/// Manifest-gated variant: validates the manifest against the caller's
-/// expected routing identity and the image count, then recovers.  This is
-/// the entry point a restart should use — it turns "operator pointed
-/// recovery at the wrong deployment" into a hard error before any replay.
-template <typename Key, typename Value>
-Status RecoverAllShards(const ShardManifest& manifest,
-                        const std::vector<ShardImages>& images,
-                        const std::vector<DyCuckooOptions>& options,
-                        uint64_t router_seed,
-                        std::vector<ShardRecoveryOutcome<Key, Value>>* out,
-                        int max_parallel = 0) {
-  DYCUCKOO_RETURN_NOT_OK(manifest.ValidateCompatible(
-      static_cast<uint32_t>(images.size()), router_seed,
-      static_cast<uint32_t>(sizeof(Key)),
-      static_cast<uint32_t>(sizeof(Value))));
-  if (options.size() != images.size()) {
-    return Status::InvalidArgument(
-        "sharded recovery: one DyCuckooOptions per shard required");
-  }
-  *out = RecoverAllShards<Key, Value>(images, options, max_parallel);
-  return Status::OK();
-}
-
 // --- Deployment recovery (reshard-aware) -----------------------------------
 
 /// Everything a restart learns from a deployment's durable state: the
@@ -302,14 +278,16 @@ struct ShardedDeploymentRecovery {
   std::vector<ShardRecoveryOutcome<Key, Value>> outcomes;
 };
 
-/// The restart entry point for a deployment that may have crashed with a
-/// shard split/merge in flight.  `journal_image` empty means no migration
-/// was running — this reduces to manifest-gated RecoverAllShards.
-/// Otherwise `images`/`options` must cover every PHYSICAL slot
-/// (max(shards_from, shards_to), in slot order: the old generation's
-/// shards first, then — during a split — the new ones), the journal is
-/// cross-checked against the manifest, every slot is replayed, and the
-/// journal is resolved against target-side kReshardCutover evidence.
+/// The restart entry point: every sharded restart goes through here and
+/// then ShardedTableServer::AdoptRecoveredSharded.  The manifest is
+/// decoded and gated (ShardManifest::ValidateCompatible) before any
+/// replay.  `journal_image` empty means no migration was running: one
+/// image/options pair per manifest shard.  Otherwise `images`/`options`
+/// must cover every PHYSICAL slot (max(shards_from, shards_to), in slot
+/// order: the old generation's shards first, then — during a split — the
+/// new ones), the journal is cross-checked against the manifest, every
+/// slot is replayed, and the journal is resolved against target-side
+/// kReshardCutover evidence.
 ///
 /// The decision is deterministic: resume iff any chunk's routing switched
 /// to the new generation (journal state or WAL evidence), else roll back.
@@ -323,48 +301,47 @@ Status RecoverShardedDeployment(
     ShardedDeploymentRecovery<Key, Value>* out, int max_parallel = 0) {
   *out = ShardedDeploymentRecovery<Key, Value>{};
   DYCUCKOO_RETURN_NOT_OK(ShardManifest::Decode(manifest_image, &out->manifest));
-  if (journal_image.empty()) {
-    return RecoverAllShards<Key, Value>(out->manifest, images, options,
-                                        router_seed, &out->outcomes,
-                                        max_parallel);
-  }
-  DYCUCKOO_RETURN_NOT_OK(ReshardJournal::Decode(journal_image, &out->journal));
+  const ShardManifest& m = out->manifest;
   const ReshardJournal& j = out->journal;
-  if (j.generation_from != out->manifest.generation ||
-      j.shards_from != out->manifest.num_shards) {
-    return Status::InvalidArgument(
-        "sharded recovery: migration journal does not belong to this "
-        "manifest (journal generation " + std::to_string(j.generation_from) +
-        "/" + std::to_string(j.shards_from) + " shards vs manifest " +
-        std::to_string(out->manifest.generation) + "/" +
-        std::to_string(out->manifest.num_shards) + ")");
+  const bool migrating = !journal_image.empty();
+  const uint32_t physical = static_cast<uint32_t>(images.size());
+  // The manifest generation's shard count the images must match.
+  uint32_t shards = physical;
+  if (migrating) {
+    DYCUCKOO_RETURN_NOT_OK(
+        ReshardJournal::Decode(journal_image, &out->journal));
+    if (j.generation_from != m.generation || j.shards_from != m.num_shards ||
+        j.router_seed != m.router_seed) {
+      return Status::InvalidArgument(
+          "sharded recovery: migration journal does not belong to this "
+          "manifest (journal generation " + std::to_string(j.generation_from) +
+          "/" + std::to_string(j.shards_from) + " shards vs manifest " +
+          std::to_string(m.generation) + "/" + std::to_string(m.num_shards) +
+          ")");
+    }
+    if (physical != std::max(j.shards_from, j.shards_to)) {
+      return Status::InvalidArgument(
+          "sharded recovery: mid-migration restart needs one image pair per "
+          "physical slot (" +
+          std::to_string(std::max(j.shards_from, j.shards_to)) + ")");
+    }
+    shards = j.shards_from;
   }
-  if (j.router_seed != router_seed ||
-      out->manifest.router_seed != router_seed) {
+  DYCUCKOO_RETURN_NOT_OK(m.ValidateCompatible(
+      shards, router_seed, static_cast<uint32_t>(sizeof(Key)),
+      static_cast<uint32_t>(sizeof(Value))));
+  if (options.size() != physical) {
     return Status::InvalidArgument(
-        "shard manifest: router seed mismatch — the segments were written "
-        "under a different key->shard mapping");
-  }
-  if (out->manifest.key_width != sizeof(Key) ||
-      out->manifest.value_width != sizeof(Value)) {
-    return Status::InvalidArgument(
-        "shard manifest: key/value widths do not match this table type");
-  }
-  const uint32_t physical = std::max(j.shards_from, j.shards_to);
-  if (images.size() != physical || options.size() != physical) {
-    return Status::InvalidArgument(
-        "sharded recovery: mid-migration restart needs one image/options "
-        "pair per physical slot (" + std::to_string(physical) + ")");
+        "sharded recovery: one DyCuckooOptions per image pair required");
   }
   std::vector<RecoverySource> sources(physical);
   for (uint32_t s = 0; s < physical; ++s) {
     sources[s].shard_id = s;
-    sources[s].segment = s < j.shards_from
-                             ? WalSegmentName(s, j.shards_from)
-                             : WalSegmentName(s, j.shards_to);
+    sources[s].segment = WalSegmentName(s, s < shards ? shards : physical);
   }
   out->outcomes = RecoverAllShards<Key, Value>(images, options, max_parallel,
                                                &sources);
+  if (!migrating) return Status::OK();
   std::vector<RecoveryReport> reports;
   reports.reserve(physical);
   for (const ShardRecoveryOutcome<Key, Value>& o : out->outcomes) {

@@ -98,14 +98,15 @@ class DynamicTable {
   /// violation or insertion failure; without it, leftover failures yield
   /// StatusCode::kInsertionFailure and `num_failed` (if given) is set.
   ///
-  /// Parallel-batch semantics (shared with the paper's design): if a batch
-  /// both re-inserts a resident key and triggers cuckoo evictions that move
-  /// that same key, the in-flight displaced copy is invisible to the upsert
-  /// probe and the key can end up stored twice (either value is returned by
-  /// FIND; ERASE removes both).  Batches that contain the same key twice
-  /// have racy last-writer semantics.  Callers needing strict upsert
-  /// determinism should batch updates of resident keys separately from
-  /// insertions of new keys — update-only batches perform no evictions.
+  /// Parallel-batch semantics: each key is stored once.  That holds for a
+  /// resident key re-inserted while an eviction chain of the same batch
+  /// moves it (the upsert probe also reaches copies in flight through the
+  /// handoff ring, and an insert re-probes for a relocated copy when the
+  /// ring's displacement epoch moved since its prepare step) and for a key
+  /// that appears in several lanes of one batch (frozen target weights
+  /// send every lane to one bucket).  Values from same-key lanes are
+  /// last-writer-wins: the stored value is one of the batch's values for
+  /// that key, with no order promised between lanes.
   Status BulkInsert(std::span<const Key> keys, std::span<const Value> values,
                     uint64_t* num_failed = nullptr) {
     if (keys.size() != values.size()) {

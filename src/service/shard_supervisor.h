@@ -47,10 +47,6 @@ inline const char* ShardStateName(ShardState s) {
 }
 
 struct ShardSupervisorOptions {
-  /// Attempt online self-healing of quarantined shards.  When false a
-  /// quarantined shard stays quarantined until healed explicitly.
-  bool auto_heal = true;
-
   /// Virtual-clock ticks between quarantine and the first heal attempt;
   /// doubles after every failed attempt (a faulty segment store should
   /// not be hammered at full rate).
@@ -112,8 +108,7 @@ class ShardSupervisor {
   /// Whether a heal attempt should run at virtual time `now`.
   bool HealDue(uint32_t shard, uint64_t now) const {
     const Shard& s = shards_[shard];
-    return options_.auto_heal && s.state == ShardState::kQuarantined &&
-           now >= s.heal_not_before;
+    return s.state == ShardState::kQuarantined && now >= s.heal_not_before;
   }
 
   /// kQuarantined -> kServing: the heal recovered, scrubbed, and
@@ -146,7 +141,7 @@ class ShardSupervisor {
   /// kFailed shard (no automatic recovery is coming).
   uint64_t RetryAfterTicks(uint32_t shard, uint64_t now) const {
     const Shard& s = shards_[shard];
-    if (s.state == ShardState::kFailed || !options_.auto_heal) return 0;
+    if (s.state == ShardState::kFailed) return 0;
     if (s.heal_not_before > now) return s.heal_not_before - now;
     return 1;
   }

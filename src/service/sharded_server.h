@@ -63,7 +63,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -161,54 +160,24 @@ class ShardedTableServer {
     std::unique_ptr<ShardedTableServer> srv(
         new ShardedTableServer(table_options, options));
     for (uint32_t s = 0; s < options.num_shards; ++s) {
-      ShardSlot& slot = srv->shards_[s];
-      std::unique_ptr<Table> table;
-      DYCUCKOO_RETURN_NOT_OK(Table::Create(slot.table_options, &table));
-      DYCUCKOO_RETURN_NOT_OK(
-          Shard::Adopt(std::move(table), options.shard, &slot.server));
-      slot.server->UseExternalClock(&srv->clock_);
-      if (options.attach_durability) {
-        slot.manager = std::make_unique<Manager>(
-            options.durability, /*start_lsn=*/1, durability::ShardScope(s));
-        slot.server->AttachDurability(slot.manager.get());
-      }
+      DYCUCKOO_RETURN_NOT_OK(srv->StartShard(s, /*table=*/nullptr,
+                                             /*start_lsn=*/1,
+                                             /*baseline=*/false));
     }
     *out = std::move(srv);
     return Status::OK();
   }
 
-  /// Builds a deployment from the per-shard outcomes of
-  /// durability::RecoverAllShards — the restart path.  Shards that
-  /// recovered cleanly serve immediately (fresh durability lineage seeded
-  /// with a baseline checkpoint); shards whose recovery failed start
+  /// The restart: builds a deployment from
+  /// durability::RecoverShardedDeployment's outcomes and decision, one
+  /// adopt loop over the physical slots.  Shards that recovered cleanly
+  /// serve immediately (fresh durability lineage seeded with a baseline
+  /// checkpoint, write probation); shards whose recovery failed start
   /// quarantined with the classifying status, retaining their crash-time
   /// images (`images[s]`) so the supervisor's heal attempts can retry.
-  static Status AdoptRecovered(
-      std::vector<durability::ShardRecoveryOutcome<Key, Value>>* outcomes,
-      const std::vector<durability::ShardImages>& images,
-      const DyCuckooOptions& table_options, const Options& options,
-      std::unique_ptr<ShardedTableServer>* out) {
-    DYCUCKOO_RETURN_NOT_OK(ValidateOptions(options));
-    if (outcomes->size() != options.num_shards ||
-        images.size() != options.num_shards) {
-      return Status::InvalidArgument(
-          "AdoptRecovered: one outcome and one image pair per shard");
-    }
-    std::unique_ptr<ShardedTableServer> srv(
-        new ShardedTableServer(table_options, options));
-    const uint64_t now = srv->clock_.Now();
-    for (uint32_t s = 0; s < options.num_shards; ++s) {
-      srv->AdoptSlot(s, &(*outcomes)[s], images[s], now);
-    }
-    *out = std::move(srv);
-    return Status::OK();
-  }
-
-  /// The reshard-aware restart path: builds a deployment from
-  /// durability::RecoverShardedDeployment's decision.
   ///
-  ///   - no migration in flight: same as AdoptRecovered (manifest
-  ///     generation restored);
+  ///   - no migration in flight: the manifest's shards, its generation
+  ///     restored;
   ///   - rolled back: the old generation's shards are adopted, a split's
   ///     never-cut-over new shards are discarded, and any partially
   ///     copied pairs are swept from the targets (logged erases) so the
@@ -230,15 +199,11 @@ class ShardedTableServer {
           "AdoptRecoveredSharded: options do not match the recovered "
           "manifest's routing identity");
     }
-    if (!rec->mid_reshard && !rec->rolled_back) {
-      DYCUCKOO_RETURN_NOT_OK(AdoptRecovered(&rec->outcomes, images,
-                                            table_options, options, out));
-      (*out)->manifest_.generation = rec->manifest.generation;
-      (*out)->manifest_image_ = (*out)->manifest_.Encode();
-      return Status::OK();
-    }
     const durability::ReshardJournal& j = rec->journal;
-    const uint32_t physical = std::max(j.shards_from, j.shards_to);
+    const bool migrating = rec->mid_reshard || rec->rolled_back;
+    const uint32_t physical = migrating
+                                  ? std::max(j.shards_from, j.shards_to)
+                                  : options.num_shards;
     if (rec->outcomes.size() != physical || images.size() != physical) {
       return Status::InvalidArgument(
           "AdoptRecoveredSharded: one outcome and image pair per physical "
@@ -248,40 +213,29 @@ class ShardedTableServer {
         new ShardedTableServer(table_options, options));
     srv->manifest_.generation = rec->manifest.generation;
     srv->manifest_image_ = srv->manifest_.Encode();
+    // A rollback keeps only the old generation: a split's new shards are
+    // dropped wholesale (their only content was never-cut-over copies).
+    const uint32_t slots = rec->mid_reshard ? physical : options.num_shards;
+    srv->supervisor_.GrowTo(slots);
+    for (uint32_t s = options.num_shards; s < slots; ++s) {
+      srv->NameSlot(s, j.shards_to);
+    }
     const uint64_t now = srv->clock_.Now();
-
-    if (rec->rolled_back) {
-      // Routing never switched: the old generation is the deployment.
-      // A split's new shards are dropped wholesale (their only content
-      // was never-cut-over copies); a merge's targets are swept below.
-      for (uint32_t s = 0; s < j.shards_from; ++s) {
-        srv->AdoptSlot(s, &rec->outcomes[s], images[s], now);
-      }
-      srv->RollbackSweep();
-      *out = std::move(srv);
-      return Status::OK();
-    }
-
-    // Mid-reshard resume: physical slots, two-generation routing.
-    srv->supervisor_.GrowTo(physical);
-    srv->shards_.resize(physical);
-    for (uint32_t s = j.shards_from; s < physical; ++s) {
-      srv->shards_[s].table_options =
-          ShardTableOptions(table_options, s, j.shards_to);
-      srv->shards_[s].segment = durability::WalSegmentName(s, j.shards_to);
-    }
-    for (uint32_t s = 0; s < physical; ++s) {
+    for (uint32_t s = 0; s < slots; ++s) {
       srv->AdoptSlot(s, &rec->outcomes[s], images[s], now);
     }
-    DYCUCKOO_RETURN_NOT_OK(
-        srv->router_.BeginMigration(j.shards_to, j.num_chunks));
-    for (uint32_t c = 0; c < j.num_chunks; ++c) {
-      if (j.chunks[c] == durability::ReshardChunkState::kCutOver ||
-          j.chunks[c] == durability::ReshardChunkState::kDone) {
-        srv->router_.SetCutOver(c);
+    if (rec->rolled_back) srv->RollbackSweep();
+    if (rec->mid_reshard) {
+      DYCUCKOO_RETURN_NOT_OK(
+          srv->router_.BeginMigration(j.shards_to, j.num_chunks));
+      for (uint32_t c = 0; c < j.num_chunks; ++c) {
+        if (j.chunks[c] == durability::ReshardChunkState::kCutOver ||
+            j.chunks[c] == durability::ReshardChunkState::kDone) {
+          srv->router_.SetCutOver(c);
+        }
       }
+      srv->resharder_.Arm(rec->journal);
     }
-    srv->resharder_.Arm(rec->journal);
     *out = std::move(srv);
     return Status::OK();
   }
@@ -461,9 +415,15 @@ class ShardedTableServer {
     DYCUCKOO_RETURN_NOT_OK(
         router_.BeginMigration(new_num_shards, journal.num_chunks));
     if (split) {
+      // A split's new slot: an empty table under its own creation-era
+      // segment name.  The baseline checkpoint makes the slot's images
+      // self-contained: a crash before its first chunk copy recovers it
+      // as an empty shard.
       supervisor_.GrowTo(new_num_shards);
       for (uint32_t s = from; s < new_num_shards; ++s) {
-        Status st = AddShardSlot(s, new_num_shards);
+        NameSlot(s, new_num_shards);
+        Status st = StartShard(s, /*table=*/nullptr, /*start_lsn=*/1,
+                               /*baseline=*/true);
         if (!st.ok()) {
           router_.AbortMigration();
           shards_.resize(from);
@@ -555,29 +515,22 @@ class ShardedTableServer {
   }
 
   /// The deterministic report of the shard's most recent recovery (from
-  /// AdoptRecovered or the last heal attempt).
+  /// AdoptRecoveredSharded or the last heal attempt).
   const durability::RecoveryReport& last_heal_report(uint32_t shard) const {
     return shards_[shard].last_heal_report;
   }
 
-  /// Every shard's durable byte images as they stand right now — what a
-  /// full-process crash would leave behind for RecoverAllShards.
+  /// Every slot's durable byte images as they stand right now — what a
+  /// full-process crash would leave behind for RecoverShardedDeployment.
   std::vector<durability::ShardImages> DurableImages() const {
-    std::vector<durability::ShardImages> images(physical_shards());
-    for (uint32_t s = 0; s < physical_shards(); ++s) {
-      const ShardSlot& slot = shards_[s];
-      if (slot.manager != nullptr) {
-        images[s].checkpoint = slot.manager->checkpoints().durable_image();
-        images[s].wal = slot.manager->wal().durable_image();
-      } else {
-        images[s] = slot.cold;
-      }
-    }
+    std::vector<durability::ShardImages> images;
+    images.reserve(physical_shards());
+    for (const ShardSlot& slot : shards_) images.push_back(CrashImages(slot));
     return images;
   }
 
-  /// Per-shard DyCuckooOptions, in shard order — the `options` argument
-  /// RecoverAllShards needs to rebuild this deployment's tables.
+  /// Per-slot DyCuckooOptions, in slot order — the `options` argument
+  /// RecoverShardedDeployment needs to rebuild this deployment's tables.
   std::vector<DyCuckooOptions> ShardTableOptionsList() const {
     std::vector<DyCuckooOptions> opts;
     opts.reserve(physical_shards());
@@ -654,10 +607,7 @@ class ShardedTableServer {
             static_cast<uint32_t>(sizeof(Value)))),
         shards_(options.num_shards) {
     for (uint32_t s = 0; s < options.num_shards; ++s) {
-      shards_[s].table_options =
-          ShardTableOptions(base, s, options.num_shards);
-      shards_[s].segment =
-          durability::WalSegmentName(s, options.num_shards);
+      NameSlot(s, options.num_shards);
     }
     manifest_image_ = manifest_.Encode();
   }
@@ -684,12 +634,29 @@ class ShardedTableServer {
     return o;
   }
 
-  /// Installs a recovered table as shard `s`'s serving incarnation: fresh
-  /// durability lineage (starting after the recovered LSN) seeded with a
-  /// baseline checkpoint, external clock, write probation.  On failure
-  /// the slot is left untouched (the caller decides quarantine).
-  Status BringUp(uint32_t s, std::unique_ptr<Table> table,
-                 uint64_t start_lsn, ShardSlot* slot) {
+  /// Derives slot `s`'s table options and creation-era segment name for
+  /// a generation of `n` shards (a split's new slots are "of-<to>"),
+  /// growing shards_ to hold it.
+  void NameSlot(uint32_t s, uint32_t n) {
+    if (shards_.size() <= s) shards_.resize(s + 1);
+    shards_[s].table_options = ShardTableOptions(base_table_options_, s, n);
+    shards_[s].segment = durability::WalSegmentName(s, n);
+  }
+
+  /// The one shard start-up, behind Create, a split's new slots and every
+  /// bring-up of a recovered table: adopts `table` (null: a fresh empty
+  /// table under the slot's options), attaches the master clock, and —
+  /// with durability — a fresh lineage whose first record is `start_lsn`.
+  /// `baseline` takes a checkpoint at once so the new lineage alone can
+  /// resurrect the shard (split slots and recovered tables; a fresh
+  /// deployment's empty shards need none).  On failure the slot is left
+  /// untouched (the caller decides quarantine).
+  Status StartShard(uint32_t s, std::unique_ptr<Table> table,
+                    uint64_t start_lsn, bool baseline) {
+    ShardSlot& slot = shards_[s];
+    if (table == nullptr) {
+      DYCUCKOO_RETURN_NOT_OK(Table::Create(slot.table_options, &table));
+    }
     std::unique_ptr<Shard> server;
     DYCUCKOO_RETURN_NOT_OK(
         Shard::Adopt(std::move(table), options_.shard, &server));
@@ -699,21 +666,39 @@ class ShardedTableServer {
       manager = std::make_unique<Manager>(options_.durability, start_lsn,
                                           durability::ShardScope(s));
       server->AttachDurability(manager.get());
-      // Baseline checkpoint: the new lineage alone must be able to
-      // resurrect the shard — without it the old images would be the only
-      // copy of the recovered state.
-      Status st = manager->CheckpointNow(server->table());
-      if (!st.ok()) return st;
-      if (manager->dead()) {
-        return Status::Unavailable(
-            "shard bring-up: durability died during the baseline "
-            "checkpoint");
+      if (baseline) {
+        DYCUCKOO_RETURN_NOT_OK(manager->CheckpointNow(server->table()));
+        if (manager->dead()) {
+          return Status::Unavailable(
+              "shard start-up: durability died during the baseline "
+              "checkpoint");
+        }
       }
     }
-    server->BeginWriteProbation();
-    slot->server = std::move(server);
-    slot->manager = std::move(manager);
+    slot.server = std::move(server);
+    slot.manager = std::move(manager);
     return Status::OK();
+  }
+
+  /// Brings a recovered table up in slot `s`: the shard start-up with a
+  /// baseline checkpoint, its lineage continuing after the recovered LSN,
+  /// then write probation.
+  Status BringUp(uint32_t s, std::unique_ptr<Table> table,
+                 const durability::RecoveryReport& report) {
+    DYCUCKOO_RETURN_NOT_OK(StartShard(s, std::move(table),
+                                      report.last_lsn + 1,
+                                      /*baseline=*/true));
+    shards_[s].server->BeginWriteProbation();
+    return Status::OK();
+  }
+
+  /// A slot's durable images as a crash now would leave them: its
+  /// manager's (live or dead), else the cold images kept when no manager
+  /// survived.
+  static durability::ShardImages CrashImages(const ShardSlot& slot) {
+    if (slot.manager == nullptr) return slot.cold;
+    return {slot.manager->checkpoints().durable_image(),
+            slot.manager->wal().durable_image()};
   }
 
   /// Installs one recovered outcome into slot `s`: serving via BringUp on
@@ -728,8 +713,7 @@ class ShardedTableServer {
       supervisor_.Quarantine(s, now, outcome->status);
       return;
     }
-    Status st = BringUp(s, std::move(outcome->table),
-                        outcome->report.last_lsn + 1, &slot);
+    Status st = BringUp(s, std::move(outcome->table), outcome->report);
     if (!st.ok()) {
       // The shard's data recovered but its new lineage could not be
       // established (e.g. an injected fault during the baseline
@@ -759,30 +743,6 @@ class ShardedTableServer {
   }
   void ReshardPersistJournal(std::string image) {
     journal_image_ = std::move(image);
-  }
-
-  /// Constructs a split's new shard slot `s` (empty table, fresh
-  /// durability lineage under its own creation-era segment name).  The
-  /// baseline checkpoint makes the slot's images self-contained: a crash
-  /// before its first chunk copy recovers it as an empty shard.
-  Status AddShardSlot(uint32_t s, uint32_t to) {
-    if (shards_.size() <= s) shards_.resize(s + 1);
-    ShardSlot& slot = shards_[s];
-    slot.table_options = ShardTableOptions(base_table_options_, s, to);
-    slot.segment = durability::WalSegmentName(s, to);
-    std::unique_ptr<Table> table;
-    DYCUCKOO_RETURN_NOT_OK(Table::Create(slot.table_options, &table));
-    DYCUCKOO_RETURN_NOT_OK(
-        Shard::Adopt(std::move(table), options_.shard, &slot.server));
-    slot.server->UseExternalClock(&clock_);
-    if (options_.attach_durability) {
-      slot.manager = std::make_unique<Manager>(
-          options_.durability, /*start_lsn=*/1, durability::ShardScope(s));
-      slot.server->AttachDurability(slot.manager.get());
-      DYCUCKOO_RETURN_NOT_OK(
-          slot.manager->CheckpointNow(slot.server->table()));
-    }
-    return Status::OK();
   }
 
   /// Whether a complete migration may finalize now: no retiring slot
@@ -975,25 +935,15 @@ class ShardedTableServer {
   void AttemptHeal(uint32_t s, uint64_t now) {
     ShardSlot& slot = shards_[s];
     // The crash-time images: from the dead incarnation's manager, or the
-    // cold images a failed AdoptRecovered left behind.
-    std::string ckpt_image, wal_image;
-    if (slot.manager != nullptr) {
-      ckpt_image = slot.manager->checkpoints().durable_image();
-      wal_image = slot.manager->wal().durable_image();
-    } else {
-      ckpt_image = slot.cold.checkpoint;
-      wal_image = slot.cold.wal;
-    }
-
+    // cold images a failed adoption left behind.
+    const durability::ShardImages images = CrashImages(slot);
     durability::RecoverySource source;
     source.shard_id = s;
     source.segment = slot.segment;
-    std::istringstream ckpt_stream(ckpt_image);
-    std::istringstream wal_stream(wal_image);
     std::unique_ptr<Table> table;
     durability::RecoveryReport report;
     Status st = durability::Recover<Key, Value>(
-        ckpt_stream, wal_stream, slot.table_options, &table, &report,
+        images.checkpoint, images.wal, slot.table_options, &table, &report,
         source);
     slot.last_heal_report = report;
     if (!st.ok()) {
@@ -1029,7 +979,7 @@ class ShardedTableServer {
       return;
     }
 
-    st = BringUp(s, std::move(table), report.last_lsn + 1, &slot);
+    st = BringUp(s, std::move(table), report);
     if (!st.ok()) {
       // Kill points / I-O faults can fire during the baseline checkpoint
       // of the new lineage; the old images are untouched, so the next

@@ -20,7 +20,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -226,12 +225,10 @@ ScenarioOutcome RunScenario(const std::string& name,
   outcome.ckpt_image = manager.checkpoints().durable_image();
 
   // --- Point-in-time recovery from the crash images -----------------------
-  std::istringstream ckpt_stream(outcome.ckpt_image);
-  std::istringstream wal_stream(outcome.wal_image);
   std::unique_ptr<Table> recovered;
   durability::RecoveryReport report;
-  st = durability::Recover<uint32_t, uint32_t>(ckpt_stream, wal_stream, topt,
-                                               &recovered, &report);
+  st = durability::Recover<uint32_t, uint32_t>(
+      outcome.ckpt_image, outcome.wal_image, topt, &recovered, &report);
   if (!st.ok()) {
     ADD_FAILURE() << name << ": recovery failed: " << st.ToString()
                   << " (seed=" << seed << ")";
@@ -342,12 +339,11 @@ ScenarioOutcome RunScenario(const std::string& name,
                                << ")";
     }
     // And the post-resume durable images reproduce the live table.
-    std::istringstream cs2(resumed.checkpoints().durable_image());
-    std::istringstream ws2(resumed.wal().durable_image());
     std::unique_ptr<Table> recovered2;
     durability::RecoveryReport report2;
-    st = durability::Recover<uint32_t, uint32_t>(cs2, ws2, topt, &recovered2,
-                                                 &report2);
+    st = durability::Recover<uint32_t, uint32_t>(
+        resumed.checkpoints().durable_image(), resumed.wal().durable_image(),
+        topt, &recovered2, &report2);
     EXPECT_TRUE(st.ok()) << name << ": post-resume recovery: "
                          << st.ToString() << " (seed=" << seed << ")";
     if (st.ok()) {
@@ -492,13 +488,11 @@ TEST(DurableServerTest, CleanFlushFailureSurfacesDataLossThenRecovers) {
   EXPECT_TRUE(resp.status.ok()) << resp.status.ToString();
   EXPECT_EQ(manager.wal().pending_records(), 0u);
 
-  std::istringstream cs(manager.checkpoints().durable_image());
-  std::istringstream ws(manager.wal().durable_image());
   std::unique_ptr<Table> recovered;
   durability::RecoveryReport report;
-  Status rst =
-      durability::Recover<uint32_t, uint32_t>(cs, ws, topt, &recovered,
-                                              &report);
+  Status rst = durability::Recover<uint32_t, uint32_t>(
+      manager.checkpoints().durable_image(), manager.wal().durable_image(),
+      topt, &recovered, &report);
   ASSERT_TRUE(rst.ok()) << rst.ToString();
   EXPECT_EQ(recovered->size(), 9u);  // all 9 inserts made it to the log
   uint32_t v = 0;
@@ -532,13 +526,11 @@ TEST(DurableServerTest, CrashBeforeCommitNeverAcksAndRecoversEmpty) {
   Server::Response resp;
   EXPECT_FALSE(server->TakeResponse(id, &resp));  // the ack never left
 
-  std::istringstream cs(manager.checkpoints().durable_image());
-  std::istringstream ws(manager.wal().durable_image());
   std::unique_ptr<Table> recovered;
   durability::RecoveryReport report;
-  Status rst =
-      durability::Recover<uint32_t, uint32_t>(cs, ws, topt, &recovered,
-                                              &report);
+  Status rst = durability::Recover<uint32_t, uint32_t>(
+      manager.checkpoints().durable_image(), manager.wal().durable_image(),
+      topt, &recovered, &report);
   ASSERT_TRUE(rst.ok()) << rst.ToString();
   EXPECT_EQ(recovered->size(), 0u);
   EXPECT_EQ(report.last_lsn, 0u);

@@ -1,5 +1,6 @@
 // Sharded durability: segment naming, the shard manifest (the routing-
-// invariant gate), parallel multi-shard recovery, and the poisoned-WAL
+// invariant gate), parallel multi-shard recovery, the restart path
+// (RecoverShardedDeployment + AdoptRecoveredSharded), and the poisoned-WAL
 // fault-domain scenario — one shard's mid-log corruption is classified
 // and quarantined while every other shard recovers fully and serves.
 
@@ -10,7 +11,6 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -165,14 +165,13 @@ TEST(RecoveryReportIdentity, IdenticalImagesDistinctShards) {
   topt.initial_capacity = 4096;
 
   auto recover_empty = [&](uint32_t shard) {
-    std::istringstream ckpt(""), wal("");
     std::unique_ptr<Table> table;
     RecoveryReport report;
     RecoverySource source;
     source.shard_id = shard;
     source.segment = WalSegmentName(shard, 4);
     Status st =
-        Recover<uint32_t, uint32_t>(ckpt, wal, topt, &table, &report, source);
+        Recover<uint32_t, uint32_t>("", "", topt, &table, &report, source);
     EXPECT_TRUE(st.ok()) << st.ToString();
     return report;
   };
@@ -268,30 +267,38 @@ TEST(RecoverAllShards, ParallelIsBitIdenticalToSerial) {
   }
 }
 
-TEST(RecoverAllShards, ManifestGateRejectsMisroutedResurrection) {
+TEST(RecoverShardedDeployment, ManifestGateRejectsMisroutedResurrection) {
   Deployment dep(4);
   std::vector<ShardImages> images = dep.server->DurableImages();
   std::vector<DyCuckooOptions> opts = dep.server->ShardTableOptionsList();
-  const ShardManifest& manifest = dep.server->manifest();
+  const std::string manifest = dep.server->ManifestImage();
+  ASSERT_EQ(dep.server->JournalImage(), "");
 
-  std::vector<Outcome> out;
-  Status gated = RecoverAllShards<uint32_t, uint32_t>(
-      manifest, images, opts, dep.options.router_seed, &out);
+  ShardedDeploymentRecovery<uint32_t, uint32_t> rec;
+  Status gated = RecoverShardedDeployment<uint32_t, uint32_t>(
+      manifest, "", images, opts, dep.options.router_seed, &rec);
   EXPECT_TRUE(gated.ok()) << gated.ToString();
-  ASSERT_EQ(out.size(), 4u);
+  ASSERT_EQ(rec.outcomes.size(), 4u);
+  EXPECT_FALSE(rec.mid_reshard);
+  EXPECT_FALSE(rec.rolled_back);
 
   // Wrong router seed: the segments were written under a different
   // key->shard mapping; replay must refuse, not scatter.
-  Status wrong_seed = RecoverAllShards<uint32_t, uint32_t>(
-      manifest, images, opts, dep.options.router_seed + 1, &out);
+  Status wrong_seed = RecoverShardedDeployment<uint32_t, uint32_t>(
+      manifest, "", images, opts, dep.options.router_seed + 1, &rec);
   EXPECT_TRUE(wrong_seed.IsInvalidArgument()) << wrong_seed.ToString();
+  EXPECT_NE(wrong_seed.message().find("router seed mismatch"),
+            std::string::npos)
+      << wrong_seed.ToString();
+  EXPECT_TRUE(rec.outcomes.empty()) << "refused before any replay";
 
   // Wrong shard count (images for a different deployment size).
   std::vector<ShardImages> three(images.begin(), images.begin() + 3);
   std::vector<DyCuckooOptions> three_opts(opts.begin(), opts.begin() + 3);
-  Status wrong_count = RecoverAllShards<uint32_t, uint32_t>(
-      manifest, three, three_opts, dep.options.router_seed, &out);
+  Status wrong_count = RecoverShardedDeployment<uint32_t, uint32_t>(
+      manifest, "", three, three_opts, dep.options.router_seed, &rec);
   EXPECT_TRUE(wrong_count.IsInvalidArgument()) << wrong_count.ToString();
+  EXPECT_TRUE(rec.outcomes.empty()) << "refused before any replay";
 }
 
 // Satellite: cross-shard recovery with one poisoned WAL.  Shard k's log
@@ -311,7 +318,12 @@ TEST(PoisonedWal, OtherShardsServeWhileFaultedShardIsQuarantined) {
   // so this is mid-log corruption (acked loss), not a torn tail.
   images[kPoisoned].wal[kWalFileHeaderBytes + 8] ^= 0x04;
 
-  auto outcomes = RecoverAllShards<uint32_t, uint32_t>(images, opts);
+  ShardedDeploymentRecovery<uint32_t, uint32_t> rec;
+  const Status recovered = RecoverShardedDeployment<uint32_t, uint32_t>(
+      dep.server->ManifestImage(), dep.server->JournalImage(), images, opts,
+      dep.options.router_seed, &rec);
+  ASSERT_TRUE(recovered.ok()) << recovered.ToString();
+  const std::vector<Outcome>& outcomes = rec.outcomes;
   ASSERT_EQ(outcomes.size(), kShards);
   for (uint32_t s = 0; s < kShards; ++s) {
     if (s == kPoisoned) {
@@ -330,8 +342,8 @@ TEST(PoisonedWal, OtherShardsServeWhileFaultedShardIsQuarantined) {
 
   // Adopt: the deployment comes back with N-1 shards serving.
   std::unique_ptr<Sharded> resumed;
-  ASSERT_TRUE(Sharded::AdoptRecovered(&outcomes, images, dep.topt,
-                                      dep.options, &resumed)
+  ASSERT_TRUE(Sharded::AdoptRecoveredSharded(&rec, images, dep.topt,
+                                             dep.options, &resumed)
                   .ok());
   EXPECT_EQ(resumed->supervisor().state(kPoisoned),
             service::ShardState::kQuarantined);

@@ -3,7 +3,6 @@
 
 #include <cstring>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -33,10 +32,48 @@ constexpr size_t kInsertFrameBytes =
 Status RecoverFromImages(const std::string& ckpt, const std::string& wal,
                          const DyCuckooOptions& options,
                          std::unique_ptr<Table>* out, RecoveryReport* report) {
-  std::istringstream ckpt_stream(ckpt);
-  std::istringstream wal_stream(wal);
-  return Recover<uint32_t, uint32_t>(ckpt_stream, wal_stream, options, out,
-                                     report);
+  return Recover<uint32_t, uint32_t>(ckpt, wal, options, out, report);
+}
+
+// The two readers of one image pair agree: for every key in `keys` and one
+// key never written, PointLookup answers kFound with the recovered table's
+// value, kErased or kAbsent when that table lacks the key, and kUnreadable
+// if and only if Recover failed.
+void ExpectPointLookupAgrees(const std::string& ckpt, const std::string& wal,
+                             const DyCuckooOptions& options,
+                             std::vector<uint32_t> keys) {
+  std::unique_ptr<Table> table;
+  RecoveryReport report;
+  const Status recovered = RecoverFromImages(ckpt, wal, options, &table,
+                                             &report);
+  keys.push_back(0xABCDEF01u);  // never written by any test here
+  for (uint32_t k : keys) {
+    uint32_t got = 0;
+    const PointLookupResult r =
+        PointLookup<uint32_t, uint32_t>(ckpt, wal, k, &got);
+    if (!recovered.ok()) {
+      EXPECT_EQ(r, PointLookupResult::kUnreadable)
+          << "key " << k << ": Recover failed (" << recovered.ToString()
+          << ") but the point lookup answered";
+      continue;
+    }
+    uint32_t want = 0;
+    if (table->Find(k, &want)) {
+      EXPECT_EQ(r, PointLookupResult::kFound) << "key " << k;
+      EXPECT_EQ(got, want) << "key " << k;
+    } else {
+      EXPECT_TRUE(r == PointLookupResult::kErased ||
+                  r == PointLookupResult::kAbsent)
+          << "key " << k << ": recovered table lacks it, lookup answered "
+          << static_cast<int>(r);
+    }
+  }
+}
+
+std::vector<uint32_t> KeyRange(uint32_t first, uint32_t last) {
+  std::vector<uint32_t> keys;
+  for (uint32_t k = first; k <= last; ++k) keys.push_back(k);
+  return keys;
 }
 
 TEST(LogFormatTest, FrameRoundTrip) {
@@ -170,6 +207,7 @@ TEST(RecoveryTest, TornTailSucceedsAndReportsDiscardedBytes) {
   EXPECT_TRUE(table->Find(9, &value));
   EXPECT_EQ(value, 108u);
   EXPECT_FALSE(table->Find(10));  // the torn record was never acknowledged
+  ExpectPointLookupAgrees("", image, options, KeyRange(1, 10));
 }
 
 TEST(RecoveryTest, MidLogCorruptionIsDataLossNotSilentSkip) {
@@ -189,6 +227,7 @@ TEST(RecoveryTest, MidLogCorruptionIsDataLossNotSilentSkip) {
   Status st = RecoverFromImages("", image, options, &table, &report);
   EXPECT_TRUE(st.IsDataLoss()) << st.ToString();
   EXPECT_EQ(table, nullptr);
+  ExpectPointLookupAgrees("", image, options, KeyRange(1, 10));
 }
 
 TEST(RecoveryTest, WalTruncatedPastCheckpointIsDataLoss) {
@@ -204,6 +243,23 @@ TEST(RecoveryTest, WalTruncatedPastCheckpointIsDataLoss) {
   Status st =
       RecoverFromImages("", wal.durable_image(), options, &table, &report);
   EXPECT_TRUE(st.IsDataLoss()) << st.ToString();
+  ExpectPointLookupAgrees("", wal.durable_image(), options, {1});
+}
+
+TEST(RecoveryTest, WalWidthMismatchIsInvalidArgument) {
+  // A log written for 8-byte values replayed as a 4-byte-value table.
+  WalWriter<uint32_t, uint64_t> wal;
+  for (uint32_t i = 1; i <= 5; ++i) wal.AppendInsert(i, i);
+  ASSERT_TRUE(wal.Flush().ok());
+  gpusim::DeviceArena arena(0);
+  DyCuckooOptions options;
+  options.arena = &arena;
+  std::unique_ptr<Table> table;
+  RecoveryReport report;
+  Status st =
+      RecoverFromImages("", wal.durable_image(), options, &table, &report);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  ExpectPointLookupAgrees("", wal.durable_image(), options, KeyRange(1, 5));
 }
 
 TEST(RecoveryTest, EmptyImagesRecoverToEmptyTable) {
@@ -217,6 +273,7 @@ TEST(RecoveryTest, EmptyImagesRecoverToEmptyTable) {
   EXPECT_EQ(table->size(), 0u);
   EXPECT_EQ(report.checkpoint_lsn, 0u);
   EXPECT_EQ(report.wal_records_scanned, 0u);
+  ExpectPointLookupAgrees("", "", options, {});
 }
 
 // Drives the full manager protocol: checkpoint + mark + truncation, then
@@ -307,6 +364,33 @@ TEST(ManagerTest, CorruptNewestCheckpointFallsBackToPrevious) {
   for (uint32_t i = 1; i <= 70; ++i) {
     EXPECT_TRUE(recovered->Find(i)) << i;
   }
+  ExpectPointLookupAgrees(ckpt, manager.wal().durable_image(), options,
+                          KeyRange(1, 70));
+
+  // A CRC-valid entry whose snapshot has a byte after its trailer does not
+  // read cleanly either: both readers fall back past it by the same rule.
+  const std::string intact = manager.checkpoints().durable_image();
+  CheckpointStore padded;
+  ASSERT_TRUE(padded
+                  .AppendEntry(entries[0].checkpoint_lsn,
+                               intact.substr(entries[0].payload_offset,
+                                             entries[0].payload_len))
+                  .ok());
+  ASSERT_TRUE(padded
+                  .AppendEntry(entries[1].checkpoint_lsn,
+                               intact.substr(entries[1].payload_offset,
+                                             entries[1].payload_len) +
+                                   "x")
+                  .ok());
+  st = RecoverFromImages(padded.durable_image(),
+                         manager.wal().durable_image(), options, &recovered,
+                         &report);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(report.checkpoints_corrupt, 1u);
+  EXPECT_EQ(report.checkpoint_lsn, 30u);
+  ExpectPointLookupAgrees(padded.durable_image(),
+                          manager.wal().durable_image(), options,
+                          KeyRange(1, 70));
 }
 
 TEST(ManagerTest, TruncationKeepsRecordsBackToPreviousCheckpoint) {
